@@ -18,6 +18,22 @@ namespace xfft {
 /// Maximum radix the generic core accepts (bounded local scratch).
 inline constexpr unsigned kMaxRadix = 64;
 
+/// Complex product (ac - bd, ad + bc), in the operation order of the
+/// finite-operand fast path of std::complex operator*, so finite operands
+/// give the same bits. Unlike operator*, non-finite operands skip the
+/// C99 Annex G recovery (__mulsc3/__muldc3): a NaN or inf input yields
+/// NaN/inf components rather than a recovered infinity. Without that
+/// out-of-line branch the multiply stays inline and vectorizable.
+template <typename T>
+[[nodiscard]] inline std::complex<T> cmul(std::complex<T> x,
+                                          std::complex<T> y) {
+  const T a = x.real();
+  const T b = x.imag();
+  const T c = y.real();
+  const T d = y.imag();
+  return {a * c - b * d, a * d + b * c};
+}
+
 /// In-place 2-point DFT (self-inverse up to scaling).
 template <typename T>
 inline void dft2(std::complex<T>* v) {
@@ -57,10 +73,10 @@ inline void dft8(std::complex<T>* v, bool inverse) {
   const T s = inverse ? T(1) : T(-1);
   const std::complex<T> w1(c, s * c);
   const std::complex<T> w3(-c, s * c);
-  o[1] *= w1;
+  o[1] = cmul(o[1], w1);
   o[2] = inverse ? std::complex<T>(-o[2].imag(), o[2].real())
                  : std::complex<T>(o[2].imag(), -o[2].real());
-  o[3] *= w3;
+  o[3] = cmul(o[3], w3);
 
   for (int k = 0; k < 4; ++k) {
     v[k] = e[k] + o[k];
@@ -80,7 +96,8 @@ inline void dft_generic(std::complex<T>* v, unsigned r,
   for (unsigned i = 0; i < r; ++i) {
     std::complex<T> acc = v[0];
     for (unsigned t = 1; t < r; ++t) {
-      acc += v[t] * master[(static_cast<std::size_t>(i) * t % r) * stride];
+      acc += cmul(v[t],
+                  master[(static_cast<std::size_t>(i) * t % r) * stride]);
     }
     y[i] = acc;
   }
@@ -128,7 +145,8 @@ inline void radix8_dif_block(std::complex<T>* p, std::size_t sub,
     for (unsigned t = 0; t < 8; ++t) v[t] = q[t * sub];
     dft8(v, inverse);
     for (unsigned i = 1; i < 8; ++i) {
-      v[i] *= tw[(static_cast<std::size_t>(i) * j % block) * tw_stride];
+      v[i] = cmul(v[i],
+                  tw[(static_cast<std::size_t>(i) * j % block) * tw_stride]);
     }
     for (unsigned t = 0; t < 8; ++t) q[t * sub] = v[t];
   }

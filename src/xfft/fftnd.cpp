@@ -34,6 +34,28 @@ bool exec_expired(const ExecOptions& exec) {
   return exec.cancel != nullptr && exec.cancel->expired();
 }
 
+/// Rows per tile of both rotation kernels: one cache line of elements.
+/// Consecutive rows land side by side in the destination, so a tile's
+/// store runs fill whole lines (docs/architecture.md §3 has the why).
+template <typename T>
+inline constexpr std::size_t kTileRows =
+    xutil::kDefaultAlignment / sizeof(std::complex<T>);
+
+/// Walks rows [lo, hi) in tiles of kTileRows<T> aligned to multiples of
+/// the width (the first and last may be partial), polling the cancel
+/// token before each.
+template <typename T, typename Body>
+void for_tiles(const ExecOptions& exec, std::int64_t lo, std::int64_t hi,
+               Body&& body) {
+  constexpr auto width = static_cast<std::int64_t>(kTileRows<T>);
+  for (std::int64_t t = lo; t < hi;) {
+    if (exec_expired(exec)) return;
+    const std::int64_t e = std::min(hi, (t / width + 1) * width);
+    body(static_cast<std::size_t>(t), static_cast<std::size_t>(e));
+    t = e;
+  }
+}
+
 }  // namespace
 
 template <typename T>
@@ -43,25 +65,22 @@ void rotate_axes(std::span<const std::complex<T>> src,
   XU_CHECK(src.size() == dims.total() && dst.size() == dims.total());
   XU_CHECK_MSG(src.data() != dst.data(), "rotate_axes must not alias");
   const std::size_t d0 = dims.nx;
-  const std::size_t d1 = dims.ny;
-  const std::size_t d2 = dims.nz;
-  // dst logical dims are [d0][d2][d1] with d1 fastest. Tiled across the
-  // pool over the (i2, i1) plane: each tile of source rows writes a
-  // disjoint comb of dst, so the parallel rotation is byte-identical to
-  // the serial one at any thread count.
-  for_chunks(
-      exec, 0, static_cast<std::int64_t>(d2 * d1), 0,
-      [&](std::int64_t lo, std::int64_t hi) {
-        for (std::int64_t idx = lo; idx < hi; ++idx) {
-          const auto i2 = static_cast<std::size_t>(idx) / d1;
-          const auto i1 = static_cast<std::size_t>(idx) % d1;
-          const std::size_t src_base = (i2 * d1 + i1) * d0;
-          const std::size_t dst_base = i2 * d1 + i1;
-          for (std::size_t i0 = 0; i0 < d0; ++i0) {
-            dst[dst_base + i0 * d1 * d2] = src[src_base + i0];
-          }
-        }
-      });
+  // dst logical dims are [d0][d2][d1] with d1 fastest, so source row
+  // idx = i2*d1 + i1 scatters to dst[idx + i0*d1*d2]. Chunked across the
+  // pool over the rows: each chunk writes a disjoint comb of dst, so the
+  // parallel rotation is byte-identical to the serial one at any thread
+  // count. A tile of rows writes each i0 as one contiguous run.
+  const std::size_t stride = dims.ny * dims.nz;
+  for_chunks(exec, 0, static_cast<std::int64_t>(stride), 0,
+             [&](std::int64_t lo, std::int64_t hi) {
+               for_tiles<T>(exec, lo, hi, [&](std::size_t t, std::size_t e) {
+                 for (std::size_t i0 = 0; i0 < d0; ++i0) {
+                   for (std::size_t idx = t; idx < e; ++idx) {
+                     dst[idx + i0 * stride] = src[idx * d0 + i0];
+                   }
+                 }
+               });
+             });
 }
 
 template <typename T>
@@ -217,21 +236,19 @@ void PlanND<T>::execute_fused(std::span<std::complex<T>> data,
       // array: frequency k of row (i1, i2) lands at k*(d1*d2) + i2*d1 + i1.
       // Rows are disjoint in src and scatter to disjoint combs of dst
       // (offset = row), so the fused transpose tiles across lanes with no
-      // synchronization inside a pass.
+      // synchronization inside a pass. Within a chunk, tiles of
+      // consecutive rows write each frequency as one whole-line run.
       const std::size_t stride = cur.ny * cur.nz;
       const std::size_t len = cur.nx;
-      for_chunks(
-          exec, 0, static_cast<std::int64_t>(rows), 0,
-          [&](std::int64_t lo, std::int64_t hi) {
-            for (std::int64_t row = lo; row < hi; ++row) {
-              if (exec_expired(exec)) return;
-              plan.execute_scatter_affine(
-                  std::span<std::complex<T>>(
-                      src + static_cast<std::size_t>(row) * len, len),
-                  std::span<std::complex<T>>(dst, n),
-                  static_cast<std::size_t>(row), stride);
-            }
-          });
+      const auto scatter_tile = [&](std::size_t t, std::size_t e) {
+        plan.execute_scatter_tile(
+            std::span<std::complex<T>>(src + t * len, (e - t) * len),
+            std::span<std::complex<T>>(dst, n), t, stride);
+      };
+      for_chunks(exec, 0, static_cast<std::int64_t>(rows), 0,
+                 [&](std::int64_t lo, std::int64_t hi) {
+                   for_tiles<T>(exec, lo, hi, scatter_tile);
+                 });
     } else {
       rotate_axes(std::span<const std::complex<T>>(src, n),
                   std::span<std::complex<T>>(dst, n), cur, exec);

@@ -102,7 +102,8 @@ void Plan1D<T>::run_stages(std::span<std::complex<T>> data,
         small_dft(v, r, inverse, tw_, n_);
         // Twiddle: X_i *= w_block^{-i*j}; i = 0 is unity and skipped.
         for (unsigned i = 1; i < r; ++i) {
-          v[i] *= tw_[(static_cast<std::size_t>(i) * j % block) * tw_stride];
+          v[i] = cmul(
+              v[i], tw_[(static_cast<std::size_t>(i) * j % block) * tw_stride]);
         }
         for (unsigned t = 0; t < r; ++t) p[t * sub] = v[t];
       }
@@ -147,17 +148,26 @@ void Plan1D<T>::execute_digit_reversed(std::span<std::complex<T>> data) const {
 }
 
 template <typename T>
-void Plan1D<T>::execute_scatter(std::span<std::complex<T>> row,
-                                std::span<std::complex<T>> out,
-                                std::span<const std::uint32_t> positions) const {
-  XU_CHECK(positions.size() == n_);
-  run_stages(row);
+void Plan1D<T>::execute_scatter_tile(std::span<std::complex<T>> tile,
+                                     std::span<std::complex<T>> out,
+                                     std::size_t offset,
+                                     std::size_t stride) const {
+  XU_CHECK_MSG(!tile.empty() && tile.size() % n_ == 0,
+               "tile length " << tile.size()
+                              << " is not a multiple of plan size " << n_);
+  const std::size_t rows = tile.size() / n_;
+  XU_CHECK_MSG(offset + (rows - 1) + (n_ - 1) * stride < out.size(),
+               "scatter range exceeds destination buffer");
+  for (std::size_t b = 0; b < rows; ++b) run_stages(tile.subspan(b * n_, n_));
   const bool scale =
       dir_ == Direction::kInverse && opt_.scaling == Scaling::kUnitary1OverN;
   const T s = scale ? T(1) / static_cast<T>(n_) : T(1);
   for (std::size_t k = 0; k < n_; ++k) {
-    const std::complex<T> x = row[perm_[k]];
-    out[positions[k]] = scale ? x * s : x;
+    const std::complex<T>* x = tile.data() + perm_[k];
+    std::complex<T>* y = out.data() + offset + k * stride;
+    for (std::size_t b = 0; b < rows; ++b) {
+      y[b] = scale ? x[b * n_] * s : x[b * n_];
+    }
   }
 }
 
@@ -166,16 +176,9 @@ void Plan1D<T>::execute_scatter_affine(std::span<std::complex<T>> row,
                                        std::span<std::complex<T>> out,
                                        std::size_t offset,
                                        std::size_t stride) const {
-  XU_CHECK_MSG(n_ == 0 || offset + (n_ - 1) * stride < out.size(),
-               "scatter range exceeds destination buffer");
-  run_stages(row);
-  const bool scale =
-      dir_ == Direction::kInverse && opt_.scaling == Scaling::kUnitary1OverN;
-  const T s = scale ? T(1) / static_cast<T>(n_) : T(1);
-  for (std::size_t k = 0; k < n_; ++k) {
-    const std::complex<T> x = row[perm_[k]];
-    out[offset + k * stride] = scale ? x * s : x;
-  }
+  XU_CHECK_MSG(row.size() == n_, "buffer length " << row.size()
+                                                  << " != plan size " << n_);
+  execute_scatter_tile(row, out, offset, stride);
 }
 
 template class Plan1D<float>;

@@ -64,17 +64,19 @@ class Plan1D {
   /// use output_perm() to locate frequency k at position output_perm()[k].
   void execute_digit_reversed(std::span<std::complex<T>> data) const;
 
-  /// Butterfly stages plus a gather into `out` through a caller-provided
-  /// position map: out[positions[k]] = X[k]. Implements the paper's fusion
-  /// of the axis rotation with the last iteration (one memory pass instead
-  /// of reorder-then-rotate). positions must be a permutation of [0, n).
-  void execute_scatter(std::span<std::complex<T>> row,
-                       std::span<std::complex<T>> out,
-                       std::span<const std::uint32_t> positions) const;
+  /// Butterfly stages on each of the `tile.size() / n` consecutive rows of
+  /// `tile` (in place), then a scatter of row b's spectrum into
+  /// out[offset + b + k*stride] = X_b[k]. Implements the paper's fusion of
+  /// the axis rotation with the last iteration (one memory pass instead of
+  /// reorder-then-rotate). Consecutive rows land side by side, so each
+  /// frequency k is stored as one contiguous run of rows: with a tile of a
+  /// cache line's worth of rows, every store run fills whole lines instead
+  /// of one element per line of a large power-of-two stride.
+  void execute_scatter_tile(std::span<std::complex<T>> tile,
+                            std::span<std::complex<T>> out,
+                            std::size_t offset, std::size_t stride) const;
 
-  /// Affine special case of execute_scatter: out[offset + k*stride] = X[k].
-  /// This is the access pattern of the fused axis rotation, where a row's
-  /// spectrum scatters into a column of the rotated array.
+  /// One-row case of execute_scatter_tile: out[offset + k*stride] = X[k].
   void execute_scatter_affine(std::span<std::complex<T>> row,
                               std::span<std::complex<T>> out,
                               std::size_t offset, std::size_t stride) const;

@@ -2,9 +2,14 @@
 // path (the paper's Section IV algorithm).
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <cstring>
+
 #include "test_helpers.hpp"
 #include "xfft/dft_reference.hpp"
 #include "xfft/fftnd.hpp"
+#include "xpar/pool.hpp"
+#include "xutil/cancel.hpp"
 #include "xutil/check.hpp"
 
 namespace {
@@ -13,6 +18,7 @@ using xfft::Cd;
 using xfft::Cf;
 using xfft::Dims3;
 using xfft::Direction;
+using xfft::Plan1D;
 using xfft::PlanND;
 using xfft::RotationMode;
 using xfft::Scaling;
@@ -75,6 +81,26 @@ TEST(RotateAxes, SingleAxisIsIdentity) {
   for (std::size_t i = 0; i < 8; ++i) EXPECT_EQ(dst[i], src[i]);
 }
 
+TEST(RotateAxes, MatchesNaiveTripleLoopOnOddDims) {
+  // Row counts that are not a multiple of the tile width, plus unit axes.
+  for (const Dims3 dims : {Dims3{5, 7, 3}, Dims3{9, 9, 9}, Dims3{17, 3, 11},
+                           Dims3{16, 1, 9}, Dims3{1, 12, 6}}) {
+    const auto src = random_signal(dims.total(), dims.total());
+    std::vector<Cf> want(src.size());
+    for (std::size_t i2 = 0; i2 < dims.nz; ++i2) {
+      for (std::size_t i1 = 0; i1 < dims.ny; ++i1) {
+        for (std::size_t i0 = 0; i0 < dims.nx; ++i0) {
+          want[(i0 * dims.nz + i2) * dims.ny + i1] =
+              src[(i2 * dims.ny + i1) * dims.nx + i0];
+        }
+      }
+    }
+    std::vector<Cf> got(src.size());
+    xfft::rotate_axes(std::span<const Cf>(src), std::span<Cf>(got), dims);
+    EXPECT_EQ(got, want) << dims.nx << "x" << dims.ny << "x" << dims.nz;
+  }
+}
+
 struct NdCase {
   Dims3 dims;
   RotationMode mode;
@@ -105,6 +131,47 @@ TEST_P(PlanNDSweep, RoundTripIsIdentity) {
   EXPECT_LT((relative_max_error<Cf, Cf>(x, original)), tol_f(dims.total()));
 }
 
+/// PlanND's fused forward transform replayed one row at a time through
+/// Plan1D::execute_scatter_affine: frequency k of row r lands at
+/// r + k*rows. A unit axis only relabels the layout, so its rotation is a
+/// copy.
+std::vector<Cf> per_row_fused_reference(std::vector<Cf> a, Dims3 dims) {
+  std::vector<Cf> b(a.size());
+  for (const std::size_t len : {dims.nx, dims.ny, dims.nz}) {
+    if (len > 1) {
+      const Plan1D<float> plan(len, Direction::kForward);
+      const std::size_t rows = a.size() / len;
+      for (std::size_t row = 0; row < rows; ++row) {
+        plan.execute_scatter_affine(std::span<Cf>(a).subspan(row * len, len),
+                                    std::span<Cf>(b), row, rows);
+      }
+    } else {
+      b = a;
+    }
+    std::swap(a, b);
+  }
+  return a;
+}
+
+TEST_P(PlanNDSweep, BytesMatchPerRowReferenceAtPoolSizes1_2_4) {
+  // Both modes reproduce the one-row-at-a-time fused transform byte for
+  // byte whatever the pool size, so tiling never changes an answer (and
+  // fused equals separate exactly).
+  const auto [dims, mode] = GetParam();
+  const auto input = random_signal(dims.total(), dims.total() + 3);
+  const auto want = per_row_fused_reference(input, dims);
+  const PlanND<float> plan(dims, Direction::kForward,
+                           PlanND<float>::Options{.rotation = mode});
+  for (const unsigned threads : {1u, 2u, 4u}) {
+    xpar::ThreadPool::set_global_threads(threads);
+    auto x = input;
+    plan.execute(std::span<Cf>(x));
+    EXPECT_EQ(std::memcmp(x.data(), want.data(), x.size() * sizeof(Cf)), 0)
+        << threads << " threads";
+  }
+  xpar::ThreadPool::set_global_threads(0);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Separate, PlanNDSweep,
     ::testing::Values(NdCase{{8, 8, 1}, RotationMode::kSeparate},
@@ -132,6 +199,20 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Values(NdCase{{12, 6, 1}, RotationMode::kFusedRotation},
                       NdCase{{6, 10, 3}, RotationMode::kSeparate},
                       NdCase{{9, 9, 9}, RotationMode::kFusedRotation}));
+
+// Row counts that are not a multiple of the rotation tile width (some
+// passes have fewer rows than one tile), and unit axes.
+INSTANTIATE_TEST_SUITE_P(
+    TileEdges, PlanNDSweep,
+    ::testing::Values(NdCase{{5, 7, 3}, RotationMode::kFusedRotation},
+                      NdCase{{5, 7, 3}, RotationMode::kSeparate},
+                      NdCase{{12, 6, 5}, RotationMode::kFusedRotation},
+                      NdCase{{12, 6, 5}, RotationMode::kSeparate},
+                      NdCase{{9, 9, 9}, RotationMode::kSeparate},
+                      NdCase{{16, 1, 9}, RotationMode::kFusedRotation},
+                      NdCase{{16, 1, 9}, RotationMode::kSeparate},
+                      NdCase{{1, 12, 6}, RotationMode::kFusedRotation},
+                      NdCase{{1, 12, 6}, RotationMode::kSeparate}));
 
 TEST(PlanND, FusedAndSeparateAgreeExactly) {
   // Both paths perform the same arithmetic per row, so results should agree
@@ -213,6 +294,34 @@ TEST(PlanND, DoublePrecisionRoundTrip) {
   fwd.execute(std::span<Cd>(x));
   inv.execute(std::span<Cd>(x));
   EXPECT_LT((relative_max_error<Cd, Cd>(x, original)), 1e-12);
+}
+
+TEST(PlanND, DeadlineExpiringMidPassReturnsEarly) {
+  // The fused pass polls the token once per tile, so a deadline that
+  // expires a few milliseconds into a transform ends it long before the
+  // full transform time, on the pool and on the serial rung alike.
+  const Dims3 dims{256, 64, 64};
+  const auto input = random_signal(dims.total(), 8);
+  const PlanND<float> plan(dims, Direction::kForward);
+  using Clock = xutil::CancelToken::Clock;
+  for (const bool serial : {false, true}) {
+    auto x = input;
+    xfft::ExecOptions exec;
+    exec.serial = serial;
+    const auto t0 = Clock::now();
+    plan.execute(std::span<Cf>(x), exec);
+    const auto full = Clock::now() - t0;
+
+    xutil::CancelToken token;
+    exec.cancel = &token;
+    x = input;
+    const auto t1 = Clock::now();
+    token.set_deadline(t1 + full / 50);
+    plan.execute(std::span<Cf>(x), exec);
+    const auto cut = Clock::now() - t1;
+    EXPECT_TRUE(token.expired());
+    EXPECT_LT(cut, full / 2) << "serial=" << serial;
+  }
 }
 
 TEST(PlanND, RejectsWrongBufferLength) {

@@ -2,6 +2,8 @@
 // checked against the O(N^2) double-precision oracle.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <cstring>
 #include <numeric>
 
 #include "test_helpers.hpp"
@@ -89,6 +91,43 @@ TEST(SmallDft, GenericCoreMatchesOracleForOddRadix) {
     xfft::dft_generic(x.data(), r, tw, r);
     EXPECT_LT((relative_max_error<Cf, Cf>(x, want)), 1e-5) << "radix " << r;
   }
+}
+
+/// True when a and b have the same bits (EXPECT_EQ would let -0 == +0).
+template <typename C>
+bool same_bits(const C& a, const C& b) {
+  return std::memcmp(&a, &b, sizeof(C)) == 0;
+}
+
+template <typename T>
+void expect_cmul_matches_operator_star(std::uint64_t seed) {
+  using C = std::complex<T>;
+  xutil::Pcg32 rng(seed);
+  // Random finite operands over a wide exponent range (products stay
+  // finite), then every entry of a forward and an inverse twiddle table
+  // against random values: the operand pairs the butterflies multiply.
+  for (int i = 0; i < 20000; ++i) {
+    const T sx = std::ldexp(T(1), static_cast<int>(rng.next_u32() % 121) - 60);
+    const T sy = std::ldexp(T(1), static_cast<int>(rng.next_u32() % 121) - 60);
+    const C x(sx * static_cast<T>(rng.next_signed_unit()),
+              sx * static_cast<T>(rng.next_signed_unit()));
+    const C y(sy * static_cast<T>(rng.next_signed_unit()),
+              sy * static_cast<T>(rng.next_signed_unit()));
+    ASSERT_TRUE(same_bits(xfft::cmul(x, y), x * y)) << x << " * " << y;
+  }
+  for (const auto dir : {Direction::kForward, Direction::kInverse}) {
+    const xfft::TwiddleTable<T> tw(4096, dir);
+    for (std::size_t k = 0; k < tw.size(); ++k) {
+      const C x(static_cast<T>(rng.next_signed_unit()),
+                static_cast<T>(rng.next_signed_unit()));
+      ASSERT_TRUE(same_bits(xfft::cmul(x, tw[k]), x * tw[k])) << "k=" << k;
+    }
+  }
+}
+
+TEST(SmallDft, CmulMatchesOperatorStarBitForBitOnFiniteOperands) {
+  expect_cmul_matches_operator_star<float>(3);
+  expect_cmul_matches_operator_star<double>(4);
 }
 
 // ---------------------------------------------------------------------------
@@ -297,6 +336,37 @@ TEST(Plan1D, ScatterAffineMatchesExecute) {
                               /*offset=*/3, stride);
   for (std::size_t k = 0; k < n; ++k) {
     EXPECT_EQ(out[3 + k * stride], a[k]) << "k=" << k;
+  }
+}
+
+TEST(Plan1D, ScatterTileMatchesPerRowScatterAffine) {
+  // The tiled scatter must give every row exactly the bytes the one-row
+  // call gives it, for any tile height, both directions and the inverse
+  // 1/N scaling, and leave the destination outside its comb untouched.
+  const Cf sentinel{-7.0F, 7.0F};
+  for (const std::size_t n : {8u, 12u, 256u}) {
+    for (const auto dir : {Direction::kForward, Direction::kInverse}) {
+      Plan1D<float> plan(n, dir);
+      for (const std::size_t rows : {1u, 3u, 8u}) {
+        const std::size_t offset = 2;
+        const std::size_t stride = rows + 3;
+        const auto input = random_signal(rows * n, n + rows);
+        std::vector<Cf> want(offset + rows + n * stride, sentinel);
+        auto per_row = input;
+        for (std::size_t b = 0; b < rows; ++b) {
+          plan.execute_scatter_affine(std::span<Cf>(per_row).subspan(b * n, n),
+                                      std::span<Cf>(want), offset + b, stride);
+        }
+        std::vector<Cf> got(want.size(), sentinel);
+        auto tile = input;
+        plan.execute_scatter_tile(std::span<Cf>(tile), std::span<Cf>(got),
+                                  offset, stride);
+        EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                              got.size() * sizeof(Cf)),
+                  0)
+            << "n=" << n << " rows=" << rows;
+      }
+    }
   }
 }
 

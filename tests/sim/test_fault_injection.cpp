@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -12,6 +13,7 @@
 #include "xfault/fault_plan.hpp"
 #include "xfault/resilient_fft.hpp"
 #include "xfft/fftnd.hpp"
+#include "xfft/plan1d.hpp"
 #include "xsim/fft_on_machine.hpp"
 #include "xsim/fft_traffic.hpp"
 #include "xsim/machine.hpp"
@@ -352,6 +354,28 @@ TEST(ResilientFft, ZeroRateMatchesPlanNdExactly) {
   EXPECT_TRUE(rep.ok());
   for (std::size_t i = 0; i < data.size(); ++i) {
     EXPECT_EQ(data[i], expect[i]) << "element " << i;
+  }
+}
+
+TEST(ResilientFft, NonFiniteInputRowIsRejected) {
+  // The butterflies' cmul skips the C99 Annex G recovery of operator*, so
+  // an inf or NaN operand must still surface as a non-finite row energy
+  // for the Parseval checksum to reject.
+  for (const float bad : {std::numeric_limits<float>::infinity(),
+                          std::numeric_limits<float>::quiet_NaN()}) {
+    auto row = random_signal(64, 5);
+    row[17] = xfft::Cf(bad, 0.0F);
+    xfft::Plan1D<float>(64, xfft::Direction::kForward)
+        .execute(std::span<xfft::Cf>(row));
+    EXPECT_FALSE(std::isfinite(xfault::parseval_energy(row))) << bad;
+
+    const Dims3 dims{64, 8, 1};
+    auto data = random_signal(dims.total(), 6);
+    data[17] = xfft::Cf(0.0F, bad);
+    const auto rep = xfault::resilient_fft(std::span<xfft::Cf>(data), dims,
+                                           xfft::Direction::kForward, {});
+    EXPECT_GT(rep.errors_detected, 0u) << bad;
+    EXPECT_FALSE(rep.ok()) << bad;
   }
 }
 
