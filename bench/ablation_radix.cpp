@@ -46,9 +46,12 @@ int main() {
     xfft::Plan1D<float> plan(n, xfft::Direction::kForward,
                              xfft::PlanOptions{.max_radix = radix});
     auto work = data;
+    std::vector<xfft::Cf> scratch(n);
     const int reps = 10;
     const auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < reps; ++i) plan.execute(std::span<xfft::Cf>(work));
+    for (int i = 0; i < reps; ++i) {
+      plan.execute(std::span<xfft::Cf>(work), scratch);
+    }
     const auto t1 = std::chrono::steady_clock::now();
     const double sec =
         std::chrono::duration<double>(t1 - t0).count() / reps;

@@ -27,8 +27,9 @@ void BM_Plan1D(benchmark::State& state) {
   xfft::Plan1D<float> plan(n, xfft::Direction::kForward,
                            xfft::PlanOptions{.max_radix = radix});
   auto data = signal(n);
+  std::vector<xfft::Cf> scratch(n);
   for (auto _ : state) {
-    plan.execute(std::span<xfft::Cf>(data));
+    plan.execute(std::span<xfft::Cf>(data), scratch);
     benchmark::DoNotOptimize(data.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *

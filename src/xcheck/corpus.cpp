@@ -1,12 +1,12 @@
 #include "xcheck/corpus.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
 
+#include "xckpt/snapshot.hpp"
 #include "xutil/check.hpp"
 
 namespace xcheck {
@@ -136,34 +136,11 @@ std::string write_corpus_entry(const std::string& dir, const TrialCase& tcase,
                                                        << ec.message());
   const std::string path =
       (fs::path(dir) / corpus_filename(tcase)).string();
-  // Crash-safe write: the reproducer is staged in a temp file in the same
-  // directory and atomically renamed into place, so a fuzzer killed
-  // mid-write can never leave a torn .repro that later fails replay. The
-  // temp name is unique per writer (parallel fuzz workers may save the
-  // same content-hashed entry concurrently; each renames its own staging
-  // file, and whichever lands last wins with identical bytes).
-  static std::atomic<std::uint64_t> tmp_counter{0};
-  const std::string tmp =
-      path + ".tmp." +
-      std::to_string(tmp_counter.fetch_add(1, std::memory_order_relaxed));
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    XU_CHECK_MSG(out.good(), "cannot write corpus entry '" << tmp << "'");
-    out << serialize_trial(tcase, reason);
-    out.close();
-    if (!out.good()) {
-      fs::remove(tmp, ec);
-      XU_CHECK_MSG(false, "short write to corpus entry '" << tmp << "'");
-    }
-  }
-  fs::rename(tmp, path, ec);
-  if (ec) {
-    std::error_code rm_ec;
-    fs::remove(tmp, rm_ec);
-    XU_CHECK_MSG(false, "cannot rename corpus entry '"
-                            << tmp << "' -> '" << path
-                            << "': " << ec.message());
-  }
+  // Crash-safe write: a fuzzer killed mid-write, or a power loss, never
+  // leaves a torn .repro that later fails replay. Parallel fuzz workers
+  // may save the same content-hashed entry concurrently; each stages its
+  // own file, and whichever lands last wins with identical bytes.
+  xckpt::write_file_atomic(path, serialize_trial(tcase, reason));
   return path;
 }
 

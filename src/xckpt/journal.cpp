@@ -143,29 +143,23 @@ DurableCsv::DurableCsv(const std::string& path,
   }
   restarted_ = !lines.empty() && !compatible;
 
-  if (compatible && !torn) {
-    out_ = std::fopen(path_.c_str(), "ab");
-  } else {
-    // Fresh file, schema change, or a torn tail: rewrite from the rows we
-    // trust (header + recovered complete rows) so the file never carries a
-    // partial line forward.
-    out_ = std::fopen(path_.c_str(), "wb");
-    if (out_ != nullptr) {
-      std::string text = header_line + "\n";
-      for (const auto& [key, fields] : rows_) {
-        (void)key;
-        for (std::size_t i = 0; i < fields.size(); ++i) {
-          if (i != 0) text += ',';
-          text += fields[i];
-        }
-        text += '\n';
+  if (!compatible || torn) {
+    // Fresh file, schema change, or a torn tail: replace the file with the
+    // rows we trust (header + recovered complete rows) so it never carries
+    // a partial line forward. The replacement is atomic, so a crash
+    // mid-rewrite leaves the old file and its rows for the next restart.
+    std::string text = header_line + "\n";
+    for (const auto& [key, fields] : rows_) {
+      (void)key;
+      for (std::size_t i = 0; i < fields.size(); ++i) {
+        if (i != 0) text += ',';
+        text += fields[i];
       }
-      XU_CHECK_MSG(
-          std::fwrite(text.data(), 1, text.size(), out_) == text.size(),
-          "CSV rewrite failed: " << path_);
-      flush_and_sync(out_, path_);
+      text += '\n';
     }
+    write_file_atomic(path_, text);
   }
+  out_ = std::fopen(path_.c_str(), "ab");
   XU_CHECK_MSG(out_ != nullptr, "cannot open CSV for append: " << path_);
 }
 

@@ -4,6 +4,7 @@
 #include <unistd.h>
 
 #include <array>
+#include <atomic>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
@@ -227,12 +228,24 @@ void write_snapshot_file(const std::string& path, std::uint32_t app_tag,
   put_le32(header.data() + 24, crc32(payload.data(), payload.size()));
   put_le32(header.data() + 32, crc32(header.data(), 32));
 
+  std::string file(header.begin(), header.end());
+  file.insert(file.end(), payload.begin(), payload.end());
+  write_file_atomic(path, file);
+}
+
+void write_file_atomic(const std::string& path, std::string_view bytes) {
+  // The staging name is unique per writer, so concurrent writers of one
+  // path each rename their own complete file and the last rename wins.
+  static std::atomic<std::uint64_t> counter{0};
   const std::string tmp =
-      path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+      path + ".tmp." + std::to_string(static_cast<long>(::getpid())) + "." +
+      std::to_string(counter.fetch_add(1, std::memory_order_relaxed));
   Fd fd;
   fd.fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd.fd < 0) throw_errno("open", tmp);
-  const auto write_all = [&](const std::uint8_t* p, std::size_t n) {
+  try {
+    const char* p = bytes.data();
+    std::size_t n = bytes.size();
     while (n > 0) {
       const ::ssize_t w = ::write(fd.fd, p, n);
       if (w < 0) {
@@ -242,18 +255,19 @@ void write_snapshot_file(const std::string& path, std::uint32_t app_tag,
       p += w;
       n -= static_cast<std::size_t>(w);
     }
-  };
-  write_all(header.data(), header.size());
-  write_all(payload.data(), payload.size());
-  // Data must be on disk before the rename publishes it; a crash between
-  // rename and dir fsync can lose the *new* file but never corrupts the old.
-  if (::fsync(fd.fd) != 0) throw_errno("fsync", tmp);
-  if (::close(fd.fd) != 0) {
+    // Data must be on disk before the rename publishes it; a crash between
+    // rename and dir fsync can lose the new file but never corrupts the old.
+    if (::fsync(fd.fd) != 0) throw_errno("fsync", tmp);
+    const int closed = ::close(fd.fd);
     fd.fd = -1;
-    throw_errno("close", tmp);
+    if (closed != 0) throw_errno("close", tmp);
+    if (std::rename(tmp.c_str(), path.c_str()) != 0) {
+      throw_errno("rename", tmp);
+    }
+  } catch (...) {
+    ::unlink(tmp.c_str());
+    throw;
   }
-  fd.fd = -1;
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) throw_errno("rename", tmp);
 
   const std::filesystem::path dir =
       std::filesystem::path(path).parent_path();

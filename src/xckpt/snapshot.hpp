@@ -12,9 +12,10 @@
 //    (so a soak-stats file can never be mistaken for a machine snapshot),
 //    the payload length, and CRC32s over both the header and the payload.
 //    A torn, truncated, or bit-flipped file is detected, never half-applied.
-//  - Writes are atomic and durable: payload -> <path>.tmp.<pid>, fsync,
-//    rename over <path>, fsync the directory. A crash mid-write leaves the
-//    previous file intact.
+//  - Writes are atomic and durable (write_file_atomic): bytes ->
+//    <path>.tmp.<pid>.<n>, fsync, rename over <path>, fsync the directory.
+//    A crash mid-write leaves the previous file intact. The corpus
+//    reproducers (xcheck) and DurableCsv rewrites use the same primitive.
 //
 // The generation ring that stacks fallback on top of this lives in
 // ring.hpp; restartable work journals live in journal.hpp.
@@ -24,6 +25,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "xutil/check.hpp"
@@ -111,9 +113,16 @@ class Reader {
   std::size_t pos_ = 0;
 };
 
-/// Writes `payload` to `path` atomically (tmp + fsync + rename + dir
-/// fsync) under the versioned, checksummed header. Throws
-/// SnapshotError(kIo) on filesystem failure.
+/// Replaces `path` with exactly `bytes`, atomically and durably: writes a
+/// temp file beside it (named from the pid and a process-wide counter, so
+/// concurrent writers never share one), fsyncs it, renames it over `path`
+/// and fsyncs the directory. Readers see the old file or the new one,
+/// never a torn mix. Throws SnapshotError(kIo) on filesystem failure,
+/// after removing the temp file.
+void write_file_atomic(const std::string& path, std::string_view bytes);
+
+/// Writes `payload` to `path` with write_file_atomic under the versioned,
+/// checksummed header. Throws SnapshotError(kIo) on filesystem failure.
 void write_snapshot_file(const std::string& path, std::uint32_t app_tag,
                          std::span<const std::uint8_t> payload);
 

@@ -83,6 +83,7 @@ ResilienceReport resilient_fft(std::span<xfft::Cf> data, xfft::Dims3 dims,
   const std::size_t n = dims.total();
   std::vector<xfft::Cf> scratch(n);
   std::vector<xfft::Cf> backup;
+  std::vector<xfft::Cf> row_scratch;
   xfft::Cf* src = data.data();
   xfft::Cf* dst = scratch.data();
   xfft::Dims3 cur = dims;
@@ -94,6 +95,7 @@ ResilienceReport resilient_fft(std::span<xfft::Cf> data, xfft::Dims3 dims,
       const xfft::Plan1D<float>& plan = plan_for(cur.nx);
       const std::size_t rows = n / cur.nx;
       backup.resize(cur.nx);
+      row_scratch.resize(cur.nx);
       for (std::size_t r = 0; r < rows; ++r) {
         const std::span<xfft::Cf> row(src + r * cur.nx, cur.nx);
         std::copy(row.begin(), row.end(), backup.begin());
@@ -107,7 +109,7 @@ ResilienceReport resilient_fft(std::span<xfft::Cf> data, xfft::Dims3 dims,
             std::copy(backup.begin(), backup.end(), row.begin());
             ++rep.rows_recomputed;
           }
-          plan.execute(row);
+          plan.execute(row, row_scratch);
           rep.flips_injected += inject_soft_errors(
               row, opt.soft_flip_rate, opt.seed,
               row_counter * opt.max_attempts_per_row + attempt);

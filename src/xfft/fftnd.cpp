@@ -10,24 +10,17 @@ namespace xfft {
 
 namespace {
 
-/// Chunked loop shared by the pool and serial execution paths. The pool
-/// path delegates to the cancellation-aware parallel_for; the serial path
-/// replays the same work inline in fixed chunks so a deadline still aborts
-/// with chunk granularity. Bodies write disjoint outputs per index, so both
-/// paths produce byte-identical results (absent cancellation).
+/// Chunked loop of every PlanND pass: the cancellation-aware parallel_for,
+/// on the global pool or, for the serial rung, on a one-lane pool. A
+/// one-lane pool starts no workers; its size-1 path replays the halving
+/// split inline on the calling thread, polling the token once per chunk.
+/// Bodies write disjoint outputs per index, so both produce byte-identical
+/// results (absent cancellation).
 void for_chunks(const ExecOptions& exec, std::int64_t begin, std::int64_t end,
-                std::int64_t grain,
                 const std::function<void(std::int64_t, std::int64_t)>& body) {
-  if (!exec.serial) {
-    xpar::ThreadPool::global().parallel_for(begin, end, grain, body,
-                                            exec.cancel);
-    return;
-  }
-  const std::int64_t g = grain > 0 ? grain : 64;
-  for (std::int64_t lo = begin; lo < end; lo += g) {
-    if (exec.cancel != nullptr && exec.cancel->expired()) return;
-    body(lo, std::min(end, lo + g));
-  }
+  static xpar::ThreadPool one_lane(1);
+  xpar::ThreadPool& pool = exec.serial ? one_lane : xpar::ThreadPool::global();
+  pool.parallel_for(begin, end, 0, body, exec.cancel);
 }
 
 bool exec_expired(const ExecOptions& exec) {
@@ -71,7 +64,7 @@ void rotate_axes(std::span<const std::complex<T>> src,
   // parallel rotation is byte-identical to the serial one at any thread
   // count. A tile of rows writes each i0 as one contiguous run.
   const std::size_t stride = dims.ny * dims.nz;
-  for_chunks(exec, 0, static_cast<std::int64_t>(stride), 0,
+  for_chunks(exec, 0, static_cast<std::int64_t>(stride),
              [&](std::int64_t lo, std::int64_t hi) {
                for_tiles<T>(exec, lo, hi, [&](std::size_t t, std::size_t e) {
                  for (std::size_t i0 = 0; i0 < d0; ++i0) {
@@ -81,12 +74,6 @@ void rotate_axes(std::span<const std::complex<T>> src,
                  }
                });
              });
-}
-
-template <typename T>
-void rotate_axes(std::span<const std::complex<T>> src,
-                 std::span<std::complex<T>> dst, Dims3 dims) {
-  rotate_axes(src, dst, dims, ExecOptions{});
 }
 
 template <typename T>
@@ -138,18 +125,13 @@ void PlanND<T>::apply_scaling(std::span<std::complex<T>> data,
                               const ExecOptions& exec) const {
   if (dir_ == Direction::kInverse && opt_.scaling == Scaling::kUnitary1OverN) {
     const T s = T(1) / static_cast<T>(dims_.total());
-    for_chunks(exec, 0, static_cast<std::int64_t>(data.size()), 0,
+    for_chunks(exec, 0, static_cast<std::int64_t>(data.size()),
                [&](std::int64_t lo, std::int64_t hi) {
                  for (std::int64_t i = lo; i < hi; ++i) {
                    data[static_cast<std::size_t>(i)] *= s;
                  }
                });
   }
-}
-
-template <typename T>
-void PlanND<T>::execute(std::span<std::complex<T>> data) const {
-  execute(data, ExecOptions{});
 }
 
 template <typename T>
@@ -164,106 +146,58 @@ void PlanND<T>::execute(std::span<std::complex<T>> data,
           data, std::span<std::complex<T>>(scratch_.data(), scratch_.size()),
           exec.cancel);
     }
-    if (exec_expired(exec)) return;
-    apply_scaling(data, exec);
-    return;
-  }
-  if (opt_.rotation == RotationMode::kFusedRotation) {
-    execute_fused(data, exec);
   } else {
-    execute_separate(data, exec);
+    const std::size_t n = data.size();
+    const bool fused = opt_.rotation == RotationMode::kFusedRotation;
+    Dims3 cur = dims_;
+    std::complex<T>* src = data.data();
+    std::complex<T>* dst = scratch_.data();
+    const std::size_t axis_len[3] = {dims_.nx, dims_.ny, dims_.nz};
+    for (int pass = 0; pass < 3; ++pass) {
+      const std::span<std::complex<T>> in(src, n);
+      const std::span<std::complex<T>> out(dst, n);
+      const std::size_t len = cur.nx;
+      const Plan1D<T>& plan = axis_plan(pass);
+      const bool transform = axis_len[pass] > 1;
+      if (transform) {
+        // Pencil parallelism: chunks of rows, disjoint in the source. Fused,
+        // each tile of consecutive rows runs its last iteration straight
+        // into the rotated array: frequency k of row r lands at
+        // k*(d1*d2) + r, so tiles write disjoint combs of the destination
+        // and each frequency as one whole-line run. Otherwise each row is
+        // transformed in place through one reorder scratch per chunk.
+        const std::size_t stride = cur.ny * cur.nz;
+        const auto scatter_tile = [&](std::size_t t, std::size_t e) {
+          plan.execute_scatter_tile(in.subspan(t * len, (e - t) * len), out, t,
+                                    stride);
+        };
+        for_chunks(exec, 0, static_cast<std::int64_t>(n / len),
+                   [&](std::int64_t lo, std::int64_t hi) {
+                     if (fused) {
+                       for_tiles<T>(exec, lo, hi, scatter_tile);
+                       return;
+                     }
+                     xutil::AlignedVector<std::complex<T>> row_scratch(len);
+                     for (std::int64_t row = lo; row < hi; ++row) {
+                       if (exec_expired(exec)) return;
+                       plan.execute(
+                           in.subspan(static_cast<std::size_t>(row) * len, len),
+                           std::span<std::complex<T>>(row_scratch.data(), len));
+                     }
+                   });
+      }
+      if (!(transform && fused)) rotate_axes<T>(in, out, cur, exec);
+      if (exec_expired(exec)) return;
+      std::swap(src, dst);
+      cur = Dims3{cur.ny, cur.nz, cur.nx};
+    }
+    // Three ping-pong swaps leave the result in the scratch buffer.
+    std::copy(src, src + n, data.data());
   }
   if (exec_expired(exec)) return;
   apply_scaling(data, exec);
 }
 
-template <typename T>
-void PlanND<T>::execute_separate(std::span<std::complex<T>> data,
-                                 const ExecOptions& exec) const {
-  Dims3 cur = dims_;
-  std::complex<T>* src = data.data();
-  std::complex<T>* dst = scratch_.data();
-  const std::size_t n = dims_.total();
-  const std::size_t axis_len[3] = {dims_.nx, dims_.ny, dims_.nz};
-  for (int pass = 0; pass < 3; ++pass) {
-    if (axis_len[pass] > 1) {
-      const Plan1D<T>& plan = axis_plan(pass);
-      const std::size_t rows = n / cur.nx;
-      const std::size_t len = cur.nx;
-      // Pencil parallelism: each chunk of rows runs on one lane with its
-      // own reorder scratch, reused across every row of the chunk (the
-      // shared plan is read-only in execution).
-      for_chunks(
-          exec, 0, static_cast<std::int64_t>(rows), 0,
-          [&](std::int64_t lo, std::int64_t hi) {
-            xutil::AlignedVector<std::complex<T>> row_scratch(len);
-            const std::span<std::complex<T>> scratch_span(row_scratch.data(),
-                                                          len);
-            for (std::int64_t row = lo; row < hi; ++row) {
-              if (exec_expired(exec)) return;
-              plan.execute(std::span<std::complex<T>>(
-                               src + static_cast<std::size_t>(row) * len, len),
-                           scratch_span);
-            }
-          });
-    }
-    if (exec_expired(exec)) return;
-    rotate_axes(std::span<const std::complex<T>>(src, n),
-                std::span<std::complex<T>>(dst, n), cur, exec);
-    if (exec_expired(exec)) return;
-    std::swap(src, dst);
-    cur = Dims3{cur.ny, cur.nz, cur.nx};
-  }
-  // Three ping-pong swaps leave the result in the scratch buffer.
-  if (src != data.data()) {
-    std::copy(src, src + n, data.data());
-  }
-}
-
-template <typename T>
-void PlanND<T>::execute_fused(std::span<std::complex<T>> data,
-                              const ExecOptions& exec) const {
-  Dims3 cur = dims_;
-  std::complex<T>* src = data.data();
-  std::complex<T>* dst = scratch_.data();
-  const std::size_t n = dims_.total();
-  const std::size_t axis_len[3] = {dims_.nx, dims_.ny, dims_.nz};
-  for (int pass = 0; pass < 3; ++pass) {
-    const std::size_t rows = n / cur.nx;
-    if (axis_len[pass] > 1) {
-      const Plan1D<T>& plan = axis_plan(pass);
-      // Each row's final iteration scatters straight into the rotated
-      // array: frequency k of row (i1, i2) lands at k*(d1*d2) + i2*d1 + i1.
-      // Rows are disjoint in src and scatter to disjoint combs of dst
-      // (offset = row), so the fused transpose tiles across lanes with no
-      // synchronization inside a pass. Within a chunk, tiles of
-      // consecutive rows write each frequency as one whole-line run.
-      const std::size_t stride = cur.ny * cur.nz;
-      const std::size_t len = cur.nx;
-      const auto scatter_tile = [&](std::size_t t, std::size_t e) {
-        plan.execute_scatter_tile(
-            std::span<std::complex<T>>(src + t * len, (e - t) * len),
-            std::span<std::complex<T>>(dst, n), t, stride);
-      };
-      for_chunks(exec, 0, static_cast<std::int64_t>(rows), 0,
-                 [&](std::int64_t lo, std::int64_t hi) {
-                   for_tiles<T>(exec, lo, hi, scatter_tile);
-                 });
-    } else {
-      rotate_axes(std::span<const std::complex<T>>(src, n),
-                  std::span<std::complex<T>>(dst, n), cur, exec);
-    }
-    if (exec_expired(exec)) return;
-    std::swap(src, dst);
-    cur = Dims3{cur.ny, cur.nz, cur.nx};
-  }
-  if (src != data.data()) {
-    std::copy(src, src + n, data.data());
-  }
-}
-
-template void rotate_axes<float>(std::span<const Cf>, std::span<Cf>, Dims3);
-template void rotate_axes<double>(std::span<const Cd>, std::span<Cd>, Dims3);
 template void rotate_axes<float>(std::span<const Cf>, std::span<Cf>, Dims3,
                                  const ExecOptions&);
 template void rotate_axes<double>(std::span<const Cd>, std::span<Cd>, Dims3,

@@ -41,9 +41,10 @@ struct ExecOptions {
   /// skipped and the data buffer is left unspecified. Callers must check
   /// the token after execute() and discard the buffer when it expired.
   const xutil::CancelToken* cancel = nullptr;
-  /// True bypasses the xpar pool entirely and runs every chunk inline on
-  /// the calling thread — the service layer's first degradation rung
-  /// (shedding parallelism keeps pool lanes free for other requests).
+  /// True runs every chunk on a one-lane pool, inline on the calling
+  /// thread and never on the global pool's workers — the service layer's
+  /// first degradation rung (shedding parallelism keeps pool lanes free
+  /// for other requests).
   bool serial = false;
 };
 
@@ -52,26 +53,24 @@ struct ExecOptions {
 /// previously second-fastest axis (d1) is fastest, so row FFTs on dst
 /// transform what were columns of src. For 2-D arrays (d2 == 1) this is a
 /// matrix transpose. Three successive rotations restore the original layout.
-template <typename T>
-void rotate_axes(std::span<const std::complex<T>> src,
-                 std::span<std::complex<T>> dst, Dims3 dims);
-
-/// Cancellation/serial-aware variant; see ExecOptions.
+/// `exec` carries the cancel token and the serial rung; see ExecOptions.
 template <typename T>
 void rotate_axes(std::span<const std::complex<T>> src,
                  std::span<std::complex<T>> dst, Dims3 dims,
-                 const ExecOptions& exec);
+                 const ExecOptions& exec = {});
 
 /// In-place N-dimensional FFT plan (rank 1, 2 or 3), natural layout in and
-/// out (x fastest). Like Plan1D, a plan is reusable but not concurrently
-/// executable (shared scratch).
+/// out (x fastest). The per-axis Plan1Ds are immutable, but the plan owns a
+/// full-size ping-pong buffer, so one PlanND takes one executor at a time.
 ///
-/// Execution is pencil-parallel on the xpar pool: row FFTs, the fused
-/// scatter, the rotation tiles and the scaling pass are all chunked with
-/// xpar::parallel_for. Every row/tile writes a disjoint region, so output
-/// is byte-identical at any pool size (including 1); callers pick the
-/// concurrency through xpar::ThreadPool::set_global_threads / --threads /
-/// XMTFFT_THREADS.
+/// execute() is the paper's loop: per dimension, the row FFTs and then the
+/// axis rotation, either fused into the rows' last iteration (each tile of
+/// rows scatters straight into the rotated array) or as a separate
+/// rotate_axes pass. Every pass is chunked with xpar's parallel_for, on the
+/// global pool or, for ExecOptions::serial, on a one-lane pool. Every
+/// row/tile writes a disjoint region, so output is byte-identical at any
+/// pool size (including 1); callers pick the concurrency through
+/// xpar::ThreadPool::set_global_threads / --threads / XMTFFT_THREADS.
 template <typename T>
 class PlanND {
  public:
@@ -83,14 +82,13 @@ class PlanND {
 
   PlanND(Dims3 dims, Direction dir, Options opt = {});
 
-  /// Transforms `data` (length dims.total(), x fastest) in place.
-  void execute(std::span<std::complex<T>> data) const;
-
-  /// Same, with per-execution controls: a cooperative cancellation token
-  /// polled at chunk and pass boundaries, and a serial mode that keeps the
-  /// whole transform on the calling thread. On token expiry the method
-  /// returns early with `data` unspecified — check exec.cancel afterwards.
-  void execute(std::span<std::complex<T>> data, const ExecOptions& exec) const;
+  /// Transforms `data` (length dims.total(), x fastest) in place. `exec`
+  /// carries a cooperative cancellation token polled at chunk, tile and
+  /// pass boundaries, and a serial mode that keeps the whole transform on
+  /// the calling thread. On token expiry the method returns early with
+  /// `data` unspecified — check exec.cancel afterwards.
+  void execute(std::span<std::complex<T>> data,
+               const ExecOptions& exec = {}) const;
 
   [[nodiscard]] Dims3 dims() const { return dims_; }
   [[nodiscard]] Direction direction() const { return dir_; }
@@ -101,10 +99,6 @@ class PlanND {
   [[nodiscard]] const Plan1D<T>& axis_plan(int axis) const;
 
  private:
-  void execute_separate(std::span<std::complex<T>> data,
-                        const ExecOptions& exec) const;
-  void execute_fused(std::span<std::complex<T>> data,
-                     const ExecOptions& exec) const;
   void apply_scaling(std::span<std::complex<T>> data,
                      const ExecOptions& exec) const;
 
@@ -123,10 +117,6 @@ using Plan2D = PlanND<T>;
 template <typename T>
 using Plan3D = PlanND<T>;
 
-extern template void rotate_axes<float>(std::span<const Cf>, std::span<Cf>,
-                                        Dims3);
-extern template void rotate_axes<double>(std::span<const Cd>, std::span<Cd>,
-                                         Dims3);
 extern template void rotate_axes<float>(std::span<const Cf>, std::span<Cf>,
                                         Dims3, const ExecOptions&);
 extern template void rotate_axes<double>(std::span<const Cd>, std::span<Cd>,

@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "xfft/butterflies.hpp"
+#include "xutil/aligned.hpp"
 #include "xutil/check.hpp"
 #include "xutil/units.hpp"
 
@@ -65,7 +66,6 @@ Plan1D<T>::Plan1D(std::size_t n, Direction dir, PlanOptions opt)
     const std::uint64_t butterflies = n_ / r;
     flops_ += butterflies * (small_dft_flops(r) + 6ULL * (r - 1));
   }
-  scratch_.resize(n_);
 }
 
 template <typename T>
@@ -121,19 +121,19 @@ void Plan1D<T>::apply_scaling(std::span<std::complex<T>> data) const {
 }
 
 template <typename T>
-void Plan1D<T>::execute(std::span<std::complex<T>> data) const {
-  execute(data, std::span<std::complex<T>>(scratch_.data(), scratch_.size()));
-}
-
-template <typename T>
 void Plan1D<T>::execute(std::span<std::complex<T>> data,
                         std::span<std::complex<T>> scratch,
                         const xutil::CancelToken* cancel) const {
-  XU_CHECK_MSG(n_ <= 1 || scratch.size() >= n_,
+  XU_CHECK_MSG(n_ <= 1 || scratch.empty() || scratch.size() >= n_,
                "scratch length " << scratch.size() << " < plan size " << n_);
   run_stages(data, cancel);
   if (cancel != nullptr && cancel->expired()) return;
   if (n_ > 1) {
+    xutil::AlignedVector<std::complex<T>> own;
+    if (scratch.empty()) {
+      own.resize(n_);
+      scratch = std::span<std::complex<T>>(own.data(), n_);
+    }
     for (std::size_t k = 0; k < n_; ++k) scratch[k] = data[perm_[k]];
     std::copy(scratch.begin(), scratch.begin() + static_cast<std::ptrdiff_t>(n_),
               data.begin());

@@ -10,7 +10,6 @@
 #include "xfft/permute.hpp"
 #include "xfft/twiddle.hpp"
 #include "xfft/types.hpp"
-#include "xutil/aligned.hpp"
 #include "xutil/cancel.hpp"
 
 namespace xfft {
@@ -32,31 +31,28 @@ struct PlanOptions {
 
 /// In-place 1-D FFT plan over std::complex<T>, natural order in and out.
 ///
-/// The plan owns its twiddle table and digit-reversal permutation, so
-/// executing is allocation-free except for a reusable scratch buffer.
-/// A plan is cheap to execute many times (amortizing table construction),
-/// mirroring FFTW's plan/execute split. Executing the same plan from
-/// multiple threads concurrently is not supported (shared scratch).
+/// The plan owns its twiddle table and digit-reversal permutation, both
+/// fixed at construction, so a plan is immutable: any number of threads
+/// may execute the same plan at once (PlanCache hands out shared
+/// instances). A plan is cheap to execute many times (amortizing table
+/// construction), mirroring FFTW's plan/execute split.
 template <typename T>
 class Plan1D {
  public:
   Plan1D(std::size_t n, Direction dir, PlanOptions opt = {});
 
   /// Transforms `data` (length n) in place; output in natural order.
-  void execute(std::span<std::complex<T>> data) const;
-
-  /// Same, but reordering through a caller-provided scratch buffer
-  /// (length >= n) instead of the plan's shared one. This is the
-  /// concurrency-safe entry point: the plan's tables are read-only during
-  /// execution, so any number of threads may run this on the same plan as
-  /// long as each brings its own scratch (the pencil-parallel N-D path).
+  ///
+  /// The digit-reversal reorder goes through `scratch` (length >= n). An
+  /// empty `scratch` means a buffer that lives only for this call; callers
+  /// that run one plan over many rows pass one buffer for all of them.
   ///
   /// A non-null `cancel` token is polled between butterfly stages; once it
   /// expires the remaining stages and the reorder are skipped and `data` is
   /// left unspecified. Callers that pass a token must check it after the
   /// call and discard the buffer on expiry (the xserve deadline path).
   void execute(std::span<std::complex<T>> data,
-               std::span<std::complex<T>> scratch,
+               std::span<std::complex<T>> scratch = {},
                const xutil::CancelToken* cancel = nullptr) const;
 
   /// Runs only the butterfly stages; output left in digit-reversed order.
@@ -106,9 +102,6 @@ class Plan1D {
   TwiddleTable<T> tw_;
   std::vector<std::uint32_t> perm_;
   std::uint64_t flops_ = 0;
-  // Cache-line aligned so the batched butterfly loops see aligned rows;
-  // shared, hence the external-scratch execute overload for concurrency.
-  mutable xutil::AlignedVector<std::complex<T>> scratch_;
 };
 
 extern template class Plan1D<float>;

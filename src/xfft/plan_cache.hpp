@@ -13,10 +13,11 @@
 // valid for whoever still holds their shared_ptr.
 //
 // The cache itself is thread-safe (a mutex guards the maps and counters),
-// so planning may happen from pool workers. Note Plan1D/PlanND execution
-// is still not thread-safe on a single instance (shared scratch); the
-// cache hands out shared instances, so concurrent executors should each
-// use their own plan, the external-scratch Plan1D overload, or locking.
+// so planning may happen from pool workers. A Plan1D is immutable, so any
+// number of threads may execute one shared instance at once (fft_cached
+// does). A PlanND owns a full-size scratch buffer and still takes one
+// executor at a time: concurrent N-D callers each need their own plan or
+// a lock around execute().
 #pragma once
 
 #include <map>

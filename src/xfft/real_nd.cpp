@@ -28,11 +28,12 @@ void rfftnd_forward(std::span<const float> in, std::span<Cf> out,
     Plan1D<float> plan(dims.ny, Direction::kForward,
                        PlanOptions{.scaling = Scaling::kNone});
     std::vector<Cf> line(dims.ny);
+    std::vector<Cf> scratch(dims.ny);
     for (std::size_t z = 0; z < dims.nz; ++z) {
       for (std::size_t k = 0; k < bx; ++k) {
         Cf* p = out.data() + z * dims.ny * bx + k;
         for (std::size_t y = 0; y < dims.ny; ++y) line[y] = p[y * bx];
-        plan.execute(std::span<Cf>(line));
+        plan.execute(std::span<Cf>(line), scratch);
         for (std::size_t y = 0; y < dims.ny; ++y) p[y * bx] = line[y];
       }
     }
@@ -42,11 +43,12 @@ void rfftnd_forward(std::span<const float> in, std::span<Cf> out,
     Plan1D<float> plan(dims.nz, Direction::kForward,
                        PlanOptions{.scaling = Scaling::kNone});
     std::vector<Cf> line(dims.nz);
+    std::vector<Cf> scratch(dims.nz);
     const std::size_t plane = bx * dims.ny;
     for (std::size_t yk = 0; yk < plane; ++yk) {
       Cf* p = out.data() + yk;
       for (std::size_t z = 0; z < dims.nz; ++z) line[z] = p[z * plane];
-      plan.execute(std::span<Cf>(line));
+      plan.execute(std::span<Cf>(line), scratch);
       for (std::size_t z = 0; z < dims.nz; ++z) p[z * plane] = line[z];
     }
   }
@@ -66,11 +68,12 @@ void rfftnd_inverse(std::span<const Cf> in, std::span<float> out,
     Plan1D<float> plan(dims.nz, Direction::kInverse,
                        PlanOptions{.scaling = Scaling::kUnitary1OverN});
     std::vector<Cf> line(dims.nz);
+    std::vector<Cf> scratch(dims.nz);
     const std::size_t plane = bx * dims.ny;
     for (std::size_t yk = 0; yk < plane; ++yk) {
       Cf* p = work.data() + yk;
       for (std::size_t z = 0; z < dims.nz; ++z) line[z] = p[z * plane];
-      plan.execute(std::span<Cf>(line));
+      plan.execute(std::span<Cf>(line), scratch);
       for (std::size_t z = 0; z < dims.nz; ++z) p[z * plane] = line[z];
     }
   }
@@ -79,11 +82,12 @@ void rfftnd_inverse(std::span<const Cf> in, std::span<float> out,
     Plan1D<float> plan(dims.ny, Direction::kInverse,
                        PlanOptions{.scaling = Scaling::kUnitary1OverN});
     std::vector<Cf> line(dims.ny);
+    std::vector<Cf> scratch(dims.ny);
     for (std::size_t z = 0; z < dims.nz; ++z) {
       for (std::size_t k = 0; k < bx; ++k) {
         Cf* p = work.data() + z * dims.ny * bx + k;
         for (std::size_t y = 0; y < dims.ny; ++y) line[y] = p[y * bx];
-        plan.execute(std::span<Cf>(line));
+        plan.execute(std::span<Cf>(line), scratch);
         for (std::size_t y = 0; y < dims.ny; ++y) p[y * bx] = line[y];
       }
     }

@@ -4,8 +4,10 @@
 #include <complex>
 #include <cstdint>
 #include <span>
+#include <string>
 
 #include "xutil/aligned.hpp"
+#include "xutil/check.hpp"
 
 namespace xfft {
 
@@ -41,7 +43,19 @@ struct Dims3 {
   std::size_t ny = 1;
   std::size_t nz = 1;
 
-  [[nodiscard]] std::size_t total() const { return nx * ny * nz; }
+  /// Element count. Throws xutil::Error when it does not fit in size_t: a
+  /// wrapped count would size every buffer and loop for the wrong shape.
+  [[nodiscard]] std::size_t total() const {
+    std::size_t xy = 0;
+    std::size_t n = 0;
+    if (__builtin_mul_overflow(nx, ny, &xy) ||
+        __builtin_mul_overflow(xy, nz, &n)) {
+      throw xutil::Error("dimensions " + std::to_string(nx) + "x" +
+                         std::to_string(ny) + "x" + std::to_string(nz) +
+                         " overflow the element count");
+    }
+    return n;
+  }
   [[nodiscard]] int rank() const {
     return 1 + (ny > 1 || nz > 1 ? 1 : 0) + (nz > 1 ? 1 : 0);
   }

@@ -7,6 +7,7 @@
 #include <fstream>
 #include <limits>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -257,6 +258,33 @@ TEST_F(CkptDir, DurableCsvAppendsAndRecovers) {
     xckpt::DurableCsv csv(cp, {"key", "gflops", "seconds"});
     EXPECT_TRUE(csv.restarted());
     EXPECT_EQ(csv.recovered_rows(), 0u);
+  }
+}
+
+TEST_F(CkptDir, AtomicWriteRacersLeaveOneWholeFileAndNoTemps) {
+  // Eight writers replace one path at once, each with its own 64 KiB of a
+  // distinct byte: the survivor is one writer's bytes, never a mix, and
+  // every staging file is gone.
+  const std::string target = path("shared.bin");
+  constexpr std::size_t kBytes = 64 * 1024;
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 8; ++w) {
+    writers.emplace_back([&target, w] {
+      const std::string bytes(kBytes, static_cast<char>('a' + w));
+      xckpt::write_file_atomic(target, bytes);
+    });
+  }
+  for (auto& t : writers) t.join();
+
+  std::ifstream in(target, std::ios::binary);
+  const std::string got((std::istreambuf_iterator<char>(in)),
+                        std::istreambuf_iterator<char>());
+  ASSERT_EQ(got.size(), kBytes);
+  EXPECT_GE(got[0], 'a');
+  EXPECT_LE(got[0], 'h');
+  EXPECT_EQ(got, std::string(kBytes, got[0]));
+  for (const auto& entry : fs::directory_iterator(dir_)) {
+    EXPECT_EQ(entry.path().filename().string(), "shared.bin");
   }
 }
 

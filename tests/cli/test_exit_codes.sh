@@ -30,6 +30,20 @@ expect 2 "$CLI" frobnicate
 expect 3 "$CLI" fft --size 1024 --bogus 1
 expect 3 "$CLI" fft --size 134
 
+# invalid input: a shape whose element count overflows size_t
+expect 3 "$CLI" fft --size '4194304^3'
+
+# invalid input: a size too large to allocate (32 GiB), under a 2 GiB
+# address-space limit so the outcome does not depend on the host's RAM.
+# Sanitizer runtimes reserve more address space than that; where even a
+# small transform cannot run under the limit, the case is reported skipped.
+under_limit() { (ulimit -v 2097152 && exec "$@"); }
+if under_limit "$CLI" fft --size 64 --threads 1 > /dev/null 2>&1; then
+  expect 3 under_limit "$CLI" fft --size 4294967296 --threads 1
+else
+  echo "skip: fft --size 4294967296 (the CLI cannot start under ulimit -v)"
+fi
+
 # deadline: an absurdly small cycle limit trips the simulator watchdog
 expect 4 "$CLI" machine --clusters 4 --size 64x64 --cycle-limit 50
 

@@ -106,6 +106,14 @@ struct NdCase {
   RotationMode mode;
 };
 
+/// Prints a case as e.g. "8x8x1_fused". CMake's gtest discovery names
+/// each ctest entry after the printed parameter, so the names stay stable
+/// (the default printer dumps the struct's bytes, padding included).
+void PrintTo(const NdCase& c, std::ostream* os) {
+  *os << c.dims.nx << 'x' << c.dims.ny << 'x' << c.dims.nz
+      << (c.mode == RotationMode::kFusedRotation ? "_fused" : "_separate");
+}
+
 class PlanNDSweep : public ::testing::TestWithParam<NdCase> {};
 
 TEST_P(PlanNDSweep, ForwardMatchesOracle) {

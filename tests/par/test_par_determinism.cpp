@@ -2,13 +2,16 @@
 // fuzzing campaign must produce byte-identical results on a 1-, 2- and
 // 8-thread global pool. This is the contract that lets --threads be a pure
 // performance knob everywhere in the repository.
+#include <atomic>
 #include <cstring>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "xcheck/fuzzer.hpp"
 #include "xfft/fftnd.hpp"
+#include "xfft/plan_cache.hpp"
 #include "xpar/pool.hpp"
 #include "xutil/rng.hpp"
 
@@ -82,6 +85,37 @@ TEST_F(GlobalPoolSweep, FuzzReportByteIdenticalAcrossThreadCounts) {
   }
   EXPECT_EQ(reports[0], reports[1]);
   EXPECT_EQ(reports[0], reports[2]);
+}
+
+// PlanCache hands every caller the same Plan1D instance, so executing it
+// from several threads at once must be safe: each output equals, byte for
+// byte, the output of a plan private to the thread.
+TEST(Plan1D, SharedCachedPlanIsSafeAcrossThreads) {
+  constexpr std::size_t kN = 4096;
+  constexpr int kThreads = 4;
+  constexpr int kCalls = 300;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &mismatches] {
+      const xfft::Plan1D<float> own(kN, xfft::Direction::kForward);
+      for (int i = 0; i < kCalls; ++i) {
+        auto shared = random_signal(kN, 1000 * static_cast<std::uint64_t>(t) +
+                                            static_cast<std::uint64_t>(i));
+        auto want = shared;
+        xfft::fft_cached(std::span<xfft::Cf>(shared),
+                         xfft::Direction::kForward);
+        own.execute(std::span<xfft::Cf>(want));
+        if (std::memcmp(shared.data(), want.data(),
+                        kN * sizeof(xfft::Cf)) != 0) {
+          ++mismatches;
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0)
+      << "of " << kThreads * kCalls << " shared-plan transforms";
 }
 
 }  // namespace

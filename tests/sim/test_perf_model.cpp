@@ -3,6 +3,9 @@
 // the Fig. 3 qualitative observations (a)-(c).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+
 #include "xfft/xmt_kernel.hpp"
 #include "xref/xeon.hpp"
 #include "xsim/perf_model.hpp"
@@ -24,6 +27,15 @@ struct Table4Case {
   const char* name;
   double paper_gflops;
 };
+
+/// Prints a case as its preset name with '_' for ' ', e.g. "128k_x2";
+/// CMake's gtest discovery names each ctest entry after it (the default
+/// printer dumps the struct's bytes, a heap address included).
+void PrintTo(const Table4Case& c, std::ostream* os) {
+  std::string name = c.name;
+  std::replace(name.begin(), name.end(), ' ', '_');
+  *os << name;
+}
 
 class Table4 : public ::testing::TestWithParam<Table4Case> {};
 

@@ -42,6 +42,7 @@
 #include <csignal>
 #include <cstdio>
 #include <map>
+#include <new>
 #include <string>
 #include <thread>
 
@@ -681,6 +682,11 @@ int main(int argc, char** argv) {
     return kExitDeadline;
   } catch (const xutil::Error& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
+    return kExitInvalid;
+  } catch (const std::bad_alloc&) {
+    // A shape too large for this host's memory is an input the run cannot
+    // serve, not a crash.
+    std::fprintf(stderr, "error: out of memory for the requested size\n");
     return kExitInvalid;
   }
 }
