@@ -5,6 +5,12 @@
 // radix because a TCU's 32 floating-point registers hold 16 single-precision
 // complex values). A generic O(r^2) core supports other radices (3, 5, ...)
 // so the library handles any smooth size.
+//
+// The radix-2/4/8 cores are templates over the complex type: std::complex<T>
+// runs one butterfly (the XMTC kernel, one thread per butterfly), and
+// SplitComplex<T, L> runs L independent butterflies in vector lanes (the
+// host Plan1D stages). Both instantiations execute the same source, so every
+// lane rounds exactly as the scalar butterfly does.
 #pragma once
 
 #include <complex>
@@ -34,25 +40,74 @@ template <typename T>
   return {a * c - b * d, a * d + b * c};
 }
 
-/// In-place 2-point DFT (self-inverse up to scaling).
+/// Butterflies one lane-batched step runs at once: one 16-byte vector of
+/// real parts (4 for float, 2 for double). A constant, like kTileRows.
 template <typename T>
-inline void dft2(std::complex<T>* v) {
-  const std::complex<T> a = v[0];
+inline constexpr std::size_t kLanes = 16 / sizeof(T);
+
+/// L complex values in split form, one per lane: lane l of `re` and `im`
+/// is the real and imaginary part of the value of butterfly l. Its +, -
+/// and cmul are the std::complex operations applied lane by lane, so each
+/// lane rounds exactly as the scalar code does. The dft cores below are
+/// written once for both std::complex<T> and SplitComplex<T, L>.
+template <typename T, std::size_t L>
+struct SplitComplex {
+  using value_type = T;
+  using V [[gnu::vector_size(L * sizeof(T))]] = T;
+
+  V re;
+  V im;
+
+  [[nodiscard]] V real() const { return re; }
+  [[nodiscard]] V imag() const { return im; }
+
+  friend SplitComplex operator+(SplitComplex x, SplitComplex y) {
+    return {x.re + y.re, x.im + y.im};
+  }
+  friend SplitComplex operator-(SplitComplex x, SplitComplex y) {
+    return {x.re - y.re, x.im - y.im};
+  }
+};
+
+/// Lane-wise cmul: the same four products and two sums, in the same order.
+template <typename T, std::size_t L>
+[[nodiscard]] inline SplitComplex<T, L> cmul(SplitComplex<T, L> x,
+                                             SplitComplex<T, L> y) {
+  return {x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re};
+}
+
+/// cmul by one constant for every lane (a scalar operand of a vector
+/// operation is broadcast to all lanes, unchanged).
+template <typename T, std::size_t L>
+[[nodiscard]] inline SplitComplex<T, L> cmul(SplitComplex<T, L> x,
+                                             std::complex<T> y) {
+  const T c = y.real();
+  const T d = y.imag();
+  return {x.re * c - x.im * d, x.re * d + x.im * c};
+}
+
+/// x * -i (forward) or x * +i (inverse): a swap and a sign flip, exact.
+template <typename C>
+[[nodiscard]] inline C quarter_turn(C x, bool inverse) {
+  return inverse ? C{-x.imag(), x.real()} : C{x.imag(), -x.real()};
+}
+
+/// In-place 2-point DFT (self-inverse up to scaling).
+template <typename C>
+inline void dft2(C* v) {
+  const C a = v[0];
   v[0] = a + v[1];
   v[1] = a - v[1];
 }
 
 /// In-place 4-point DFT. Forward multiplies the odd cross term by -i,
 /// inverse by +i; both cases are free of real multiplications.
-template <typename T>
-inline void dft4(std::complex<T>* v, bool inverse) {
-  const std::complex<T> a = v[0] + v[2];
-  const std::complex<T> b = v[0] - v[2];
-  const std::complex<T> c = v[1] + v[3];
-  std::complex<T> d = v[1] - v[3];
-  // d *= -i (forward) or +i (inverse).
-  d = inverse ? std::complex<T>(-d.imag(), d.real())
-              : std::complex<T>(d.imag(), -d.real());
+template <typename C>
+inline void dft4(C* v, bool inverse) {
+  const C a = v[0] + v[2];
+  const C b = v[0] - v[2];
+  const C c = v[1] + v[3];
+  const C d = quarter_turn(v[1] - v[3], inverse);
   v[0] = a + c;
   v[1] = b + d;
   v[2] = a - c;
@@ -61,10 +116,11 @@ inline void dft4(std::complex<T>* v, bool inverse) {
 
 /// In-place 8-point DFT: two 4-point DFTs over even/odd lanes combined with
 /// the 8th roots of unity (only w8^1 and w8^3 cost real multiplications).
-template <typename T>
-inline void dft8(std::complex<T>* v, bool inverse) {
-  std::complex<T> e[4] = {v[0], v[2], v[4], v[6]};
-  std::complex<T> o[4] = {v[1], v[3], v[5], v[7]};
+template <typename C>
+inline void dft8(C* v, bool inverse) {
+  using T = typename C::value_type;
+  C e[4] = {v[0], v[2], v[4], v[6]};
+  C o[4] = {v[1], v[3], v[5], v[7]};
   dft4(e, inverse);
   dft4(o, inverse);
 
@@ -74,8 +130,7 @@ inline void dft8(std::complex<T>* v, bool inverse) {
   const std::complex<T> w1(c, s * c);
   const std::complex<T> w3(-c, s * c);
   o[1] = cmul(o[1], w1);
-  o[2] = inverse ? std::complex<T>(-o[2].imag(), o[2].real())
-                 : std::complex<T>(o[2].imag(), -o[2].real());
+  o[2] = quarter_turn(o[2], inverse);
   o[3] = cmul(o[3], w3);
 
   for (int k = 0; k < 4; ++k) {
@@ -86,6 +141,8 @@ inline void dft8(std::complex<T>* v, bool inverse) {
 
 /// In-place r-point DFT via the master twiddle table of a length-n plan
 /// (n divisible by r). O(r^2); used for radices without a hardcoded core.
+/// Output i sums v[t] * w_r^{-i*t}; the root index i*t mod r is stepped by
+/// i and wrapped at r instead of divided.
 template <typename T>
 inline void dft_generic(std::complex<T>* v, unsigned r,
                         const TwiddleTable<T>& master, std::size_t n) {
@@ -95,9 +152,11 @@ inline void dft_generic(std::complex<T>* v, unsigned r,
   std::complex<T> y[kMaxRadix];
   for (unsigned i = 0; i < r; ++i) {
     std::complex<T> acc = v[0];
+    unsigned root = i;  // i*t mod r at t = 1
     for (unsigned t = 1; t < r; ++t) {
-      acc += cmul(v[t],
-                  master[(static_cast<std::size_t>(i) * t % r) * stride]);
+      acc += cmul(v[t], master[root * stride]);
+      root += i;
+      if (root >= r) root -= r;
     }
     y[i] = acc;
   }
@@ -123,32 +182,6 @@ inline void small_dft(std::complex<T>* v, unsigned r, bool inverse,
     default:
       dft_generic(v, r, master, n);
       break;
-  }
-}
-
-/// Batched radix-8 DIF inner loop over one block: all `sub` butterflies of
-/// the block starting at `p`, loads and stores at stride `sub`. This is the
-/// hot loop of every power-of-8 transform, so the radix is a compile-time
-/// constant here: the per-butterfly radix dispatch and variable-bound copy
-/// loops of the generic path collapse into straight-line code the compiler
-/// can keep in registers and vectorize. The arithmetic — loads, dft8,
-/// ascending-i twiddle multiplies with index (i*j % block) * tw_stride,
-/// stores — is identical in order to the generic path, so results are
-/// bit-for-bit the same (the XMTC-vs-library exactness tests rely on it).
-template <typename T>
-inline void radix8_dif_block(std::complex<T>* p, std::size_t sub,
-                             std::size_t block, std::size_t tw_stride,
-                             const TwiddleTable<T>& tw, bool inverse) {
-  for (std::size_t j = 0; j < sub; ++j) {
-    std::complex<T>* const q = p + j;
-    std::complex<T> v[8];
-    for (unsigned t = 0; t < 8; ++t) v[t] = q[t * sub];
-    dft8(v, inverse);
-    for (unsigned i = 1; i < 8; ++i) {
-      v[i] = cmul(v[i],
-                  tw[(static_cast<std::size_t>(i) * j % block) * tw_stride]);
-    }
-    for (unsigned t = 0; t < 8; ++t) q[t * sub] = v[t];
   }
 }
 

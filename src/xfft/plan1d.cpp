@@ -1,6 +1,8 @@
 #include "xfft/plan1d.hpp"
 
 #include <algorithm>
+#include <cstring>
+#include <utility>
 
 #include "xfft/butterflies.hpp"
 #include "xutil/aligned.hpp"
@@ -50,6 +52,143 @@ std::vector<unsigned> choose_radices(std::size_t n, unsigned max_radix) {
   return radices;
 }
 
+namespace {
+
+/// Reads the L consecutive complex values at p into split lanes. A
+/// std::complex<T> is stored as T[2] ([complex.numbers]/4), so the run is
+/// 2L values of T: two vectors, deinterleaved into real and imaginary parts.
+template <typename T, std::size_t L, std::size_t... I>
+SplitComplex<T, L> load_run(const std::complex<T>* p,
+                            std::index_sequence<I...> /*lanes*/) {
+  using V = typename SplitComplex<T, L>::V;
+  V lo{};
+  V hi{};
+  const T* q = reinterpret_cast<const T*>(p);
+  std::memcpy(&lo, q, sizeof lo);
+  std::memcpy(&hi, q + L, sizeof hi);
+  return {__builtin_shufflevector(lo, hi, (2 * I)...),
+          __builtin_shufflevector(lo, hi, (2 * I + 1)...)};
+}
+
+/// Inverse of load_run: interleaves the lanes back into L complex values.
+template <typename T, std::size_t L, std::size_t... I>
+void store_run(std::complex<T>* p, SplitComplex<T, L> x,
+               std::index_sequence<I...> /*lanes*/) {
+  using V = typename SplitComplex<T, L>::V;
+  const V lo = __builtin_shufflevector(x.re, x.im, (I / 2 + I % 2 * L)...);
+  const V hi =
+      __builtin_shufflevector(x.re, x.im, (L / 2 + I / 2 + I % 2 * L)...);
+  T* q = reinterpret_cast<T*>(p);
+  std::memcpy(q, &lo, sizeof lo);
+  std::memcpy(q + L, &hi, sizeof hi);
+}
+
+/// Lane l holds p[at[l]].
+template <typename T, std::size_t L>
+SplitComplex<T, L> gather(const std::complex<T>* p,
+                          const std::size_t (&at)[L]) {
+  SplitComplex<T, L> x{};
+  for (std::size_t l = 0; l < L; ++l) {
+    x.re[l] = p[at[l]].real();
+    x.im[l] = p[at[l]].imag();
+  }
+  return x;
+}
+
+/// Lane l of x goes to p[at[l]].
+template <typename T, std::size_t L>
+void scatter(std::complex<T>* p, const std::size_t (&at)[L],
+             SplitComplex<T, L> x) {
+  for (std::size_t l = 0; l < L; ++l) p[at[l]] = {x.re[l], x.im[l]};
+}
+
+/// Radix-R stage geometry. Butterfly (base, j), for each block start `base`
+/// and j < sub, reads x[base + j + t*sub] for t < R, runs the R-point core,
+/// multiplies output i (1 <= i < R) by W[i*j*tw_stride] and writes back in
+/// place. i*j < block, so the table index needs no reduction.
+template <unsigned R, typename T>
+struct LaneStage {
+  std::complex<T>* x;
+  std::size_t block;
+  std::size_t sub;
+  const std::complex<T>* tw;
+  std::size_t tw_stride;
+  bool inverse;
+
+  /// Core and twiddles for the L butterflies whose twiddle columns are
+  /// j[0..L): the scalar butterfly's operations, in its order, per lane.
+  template <std::size_t L>
+  void butterflies(SplitComplex<T, L> (&v)[R],
+                   const std::size_t (&j)[L]) const {
+    if constexpr (R == 2) {
+      dft2(v);
+    } else if constexpr (R == 4) {
+      dft4(v, inverse);
+    } else {
+      dft8(v, inverse);
+    }
+    for (unsigned i = 1; i < R; ++i) {
+      std::size_t at[L] = {};
+      for (std::size_t l = 0; l < L; ++l) at[l] = i * j[l] * tw_stride;
+      v[i] = cmul(v[i], gather(tw, at));
+    }
+  }
+
+  /// L butterflies at consecutive j of one block: contiguous lane loads.
+  void run_consecutive(std::size_t base, std::size_t j0) const {
+    constexpr std::size_t L = kLanes<T>;
+    constexpr auto lanes = std::make_index_sequence<L>{};
+    std::complex<T>* const p = x + base + j0;
+    SplitComplex<T, L> v[R] = {};
+    for (unsigned t = 0; t < R; ++t) v[t] = load_run<T, L>(p + t * sub, lanes);
+    std::size_t j[L] = {};
+    for (std::size_t l = 0; l < L; ++l) j[l] = j0 + l;
+    butterflies(v, j);
+    for (unsigned t = 0; t < R; ++t) store_run(p + t * sub, v[t], lanes);
+  }
+
+  /// The next L butterflies in (base, j) order, which may span blocks. The
+  /// cursor steps per lane and wraps at sub instead of dividing.
+  template <std::size_t L>
+  void run_spanning(std::size_t& base, std::size_t& j_next) const {
+    std::size_t at[L] = {};
+    std::size_t j[L] = {};
+    for (std::size_t l = 0; l < L; ++l) {
+      at[l] = base + j_next;
+      j[l] = j_next;
+      if (++j_next == sub) {
+        j_next = 0;
+        base += block;
+      }
+    }
+    SplitComplex<T, L> v[R] = {};
+    for (unsigned t = 0; t < R; ++t) v[t] = gather(x + t * sub, at);
+    butterflies(v, j);
+    for (unsigned t = 0; t < R; ++t) scatter(x + t * sub, at, v[t]);
+  }
+
+  /// All n/R butterflies of the stage, kLanes<T> per step. When sub is a
+  /// multiple of the lane count the lanes are consecutive j; otherwise
+  /// (e.g. the last stage, sub = 1) they span blocks, and a remainder of
+  /// fewer than kLanes<T> butterflies runs one lane per step.
+  void run(std::size_t n) const {
+    constexpr std::size_t L = kLanes<T>;
+    if (sub % L == 0) {
+      for (std::size_t base = 0; base < n; base += block) {
+        for (std::size_t j = 0; j < sub; j += L) run_consecutive(base, j);
+      }
+      return;
+    }
+    std::size_t base = 0;
+    std::size_t j = 0;
+    std::size_t left = n / R;
+    for (; left >= L; left -= L) run_spanning<L>(base, j);
+    for (; left > 0; --left) run_spanning<1>(base, j);
+  }
+};
+
+}  // namespace
+
 template <typename T>
 Plan1D<T>::Plan1D(std::size_t n, Direction dir, PlanOptions opt)
     : n_(n), dir_(dir), opt_(opt), tw_(std::max<std::size_t>(n, 1), dir) {
@@ -84,13 +223,17 @@ void Plan1D<T>::run_stages(std::span<std::complex<T>> data,
     if (cancel != nullptr && cancel->expired()) return;
     const std::size_t sub = block / r;
     const std::size_t tw_stride = n_ / block;
-    if (r == 8) {
-      // The paper's radix (Section IV-A) gets the batched inner loop:
-      // constant trip counts, dispatch hoisted out of the butterfly —
-      // same arithmetic, in the same order, as the generic path below.
-      for (std::size_t base = 0; base < n_; base += block) {
-        radix8_dif_block(data.data() + base, sub, block, tw_stride, tw_,
-                         inverse);
+    if (r == 2 || r == 4 || r == 8) {
+      // Every stage of a power-of-two size: kLanes<T> butterflies per step,
+      // each with the arithmetic of the loop below, in its order.
+      std::complex<T>* const x = data.data();
+      const std::complex<T>* const tw = tw_.data();
+      if (r == 2) {
+        LaneStage<2, T>{x, block, sub, tw, tw_stride, inverse}.run(n_);
+      } else if (r == 4) {
+        LaneStage<4, T>{x, block, sub, tw, tw_stride, inverse}.run(n_);
+      } else {
+        LaneStage<8, T>{x, block, sub, tw, tw_stride, inverse}.run(n_);
       }
       block = sub;
       continue;
@@ -102,8 +245,7 @@ void Plan1D<T>::run_stages(std::span<std::complex<T>> data,
         small_dft(v, r, inverse, tw_, n_);
         // Twiddle: X_i *= w_block^{-i*j}; i = 0 is unity and skipped.
         for (unsigned i = 1; i < r; ++i) {
-          v[i] = cmul(
-              v[i], tw_[(static_cast<std::size_t>(i) * j % block) * tw_stride]);
+          v[i] = cmul(v[i], tw_[static_cast<std::size_t>(i) * j * tw_stride]);
         }
         for (unsigned t = 0; t < r; ++t) p[t * sub] = v[t];
       }

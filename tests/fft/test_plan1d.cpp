@@ -8,6 +8,7 @@
 
 #include "test_helpers.hpp"
 #include "xfft/butterflies.hpp"
+#include "xfft/permute.hpp"
 #include "xfft/plan1d.hpp"
 
 namespace {
@@ -129,6 +130,106 @@ TEST(SmallDft, CmulMatchesOperatorStarBitForBitOnFiniteOperands) {
   expect_cmul_matches_operator_star<float>(3);
   expect_cmul_matches_operator_star<double>(4);
 }
+
+// ---------------------------------------------------------------------------
+// Lane-batched stages: byte-identical to one scalar butterfly at a time.
+// ---------------------------------------------------------------------------
+
+/// Plan1D's transform written one butterfly at a time: per stage, small_dft
+/// then cmul of outputs 1..r-1 by stage_twiddle, then the digit-reversal
+/// reorder and the 1/n scaling. The lane-batched stages must reproduce it
+/// byte for byte.
+template <typename T>
+std::vector<std::complex<T>> scalar_stage_fft(std::vector<std::complex<T>> x,
+                                              Direction dir,
+                                              unsigned max_radix) {
+  const std::size_t n = x.size();
+  const xfft::TwiddleTable<T> tw(n, dir);
+  const auto radices = xfft::choose_radices(n, max_radix);
+  const bool inverse = dir == Direction::kInverse;
+  std::complex<T> v[xfft::kMaxRadix];
+  std::size_t block = n;
+  for (const unsigned r : radices) {
+    const std::size_t sub = block / r;
+    for (std::size_t base = 0; base < n; base += block) {
+      for (std::size_t j = 0; j < sub; ++j) {
+        for (unsigned t = 0; t < r; ++t) v[t] = x[base + j + t * sub];
+        xfft::small_dft(v, r, inverse, tw, n);
+        for (unsigned i = 1; i < r; ++i) {
+          v[i] = xfft::cmul(v[i], tw.stage_twiddle(block, i, j));
+        }
+        for (unsigned t = 0; t < r; ++t) x[base + j + t * sub] = v[t];
+      }
+    }
+    block = sub;
+  }
+  const auto perm = xfft::dif_output_permutation(radices, n);
+  std::vector<std::complex<T>> out(n);
+  for (std::size_t k = 0; k < n; ++k) out[k] = x[perm[k]];
+  if (inverse) {
+    const T s = T(1) / static_cast<T>(n);
+    for (auto& y : out) y *= s;
+  }
+  return out;
+}
+
+/// Components drawn from [-1, 1], with each one +0 or -0 with probability
+/// `zero_frac`. Signed zeros make the bits depend on every add and
+/// multiply, including the multiplies by W[0] = (1, 0): (-0) * 1 - (-0) * 0
+/// is +0, and (x, -0) * (1, 0) is (x, +0) for x > 0.
+template <typename T>
+std::vector<std::complex<T>> signed_zero_signal(std::size_t n,
+                                                std::uint64_t seed,
+                                                double zero_frac) {
+  xutil::Pcg32 rng(seed);
+  auto part = [&] {
+    const double u = 0.5 * (rng.next_signed_unit() + 1.0);
+    const bool negative = rng.next_u32() % 2 == 1;
+    const T value = static_cast<T>(rng.next_signed_unit());
+    if (u < zero_frac) return negative ? T(-0.0) : T(0.0);
+    return value;
+  };
+  std::vector<std::complex<T>> x(n);
+  for (auto& c : x) {
+    const T re = part();
+    c = {re, part()};
+  }
+  return x;
+}
+
+template <typename T>
+void expect_lanes_match_scalar_stages(std::size_t n) {
+  for (const unsigned max_radix : {8u, 4u, 2u}) {
+    for (const auto dir : {Direction::kForward, Direction::kInverse}) {
+      for (const double zero_frac : {0.25, 1.0}) {
+        const auto input = signed_zero_signal<T>(n, n + max_radix, zero_frac);
+        const auto want = scalar_stage_fft(input, dir, max_radix);
+        auto got = input;
+        PlanOptions opt;
+        opt.max_radix = max_radix;
+        Plan1D<T>(n, dir, opt).execute(std::span<std::complex<T>>(got));
+        for (std::size_t k = 0; k < n; ++k) {
+          ASSERT_TRUE(same_bits(got[k], want[k]))
+              << "T=" << sizeof(T) << "B max_radix=" << max_radix
+              << " dir=" << static_cast<int>(dir) << " zeros=" << zero_frac
+              << " k=" << k << ": " << got[k] << " vs " << want[k];
+        }
+      }
+    }
+  }
+}
+
+class Plan1DLanes : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(Plan1DLanes, MatchScalarStageLoopByteForByte) {
+  expect_lanes_match_scalar_stages<float>(GetParam());
+  expect_lanes_match_scalar_stages<double>(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, Plan1DLanes,
+                         ::testing::Values(2, 4, 8, 16, 32, 64, 128, 256, 512,
+                                           1024, 2048, 4096, 16384, 24, 60,
+                                           768, 1000));
 
 // ---------------------------------------------------------------------------
 // Parameterized sweep: forward transform matches oracle over many sizes.

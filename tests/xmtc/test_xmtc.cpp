@@ -1,6 +1,7 @@
 // Tests for the XMTC programming-model runtime and the FFT written in it.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
 
 #include "../fft/test_helpers.hpp"
@@ -105,17 +106,25 @@ TEST_P(XmtcFft1D, MatchesPlanLibraryExactly) {
   const std::size_t n = GetParam();
   const auto input = random_signal(n, n + 77);
 
-  auto a = input;
-  xmtc::Runtime rt;
-  xmtc::fft1d_xmtc(rt, std::span<Cf>(a), Direction::kForward);
+  for (const auto dir : {Direction::kForward, Direction::kInverse}) {
+    auto a = input;
+    xmtc::Runtime rt;
+    xmtc::fft1d_xmtc(rt, std::span<Cf>(a), dir);
 
-  auto b = input;
-  xfft::Plan1D<float> plan(n, Direction::kForward);
-  plan.execute(std::span<Cf>(b));
+    auto b = input;
+    xfft::Plan1D<float> plan(n, dir);
+    plan.execute(std::span<Cf>(b));
 
-  // Same butterflies, same twiddles (the replicated table holds replicas of
-  // the identical master roots): bit-for-bit agreement expected.
-  for (std::size_t i = 0; i < n; ++i) EXPECT_EQ(a[i], b[i]) << "i=" << i;
+    // Same butterflies, same twiddles (the replicated table holds replicas
+    // of the identical master roots): bit-for-bit agreement expected, with
+    // one XMT thread per butterfly on one side and lane-batched butterflies
+    // on the other.
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(std::memcmp(&a[i], &b[i], sizeof(Cf)), 0)
+          << "dir=" << static_cast<int>(dir) << " i=" << i << ": " << a[i]
+          << " vs " << b[i];
+    }
+  }
 }
 
 TEST_P(XmtcFft1D, InverseRoundTrips) {
@@ -129,7 +138,9 @@ TEST_P(XmtcFft1D, InverseRoundTrips) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sizes, XmtcFft1D,
-                         ::testing::Values(2, 8, 16, 64, 512, 1024, 24, 60));
+                         ::testing::Values(2, 4, 8, 16, 32, 64, 128, 256, 512,
+                                           1024, 2048, 4096, 16384, 24, 60,
+                                           768, 1000));
 
 TEST(XmtcFftND, MatchesPlanNDOn3D) {
   const Dims3 dims{16, 8, 4};
