@@ -6,7 +6,7 @@
 // complex values). A generic O(r^2) core supports other radices (3, 5, ...)
 // so the library handles any smooth size.
 //
-// The radix-2/4/8 cores are templates over the complex type: std::complex<T>
+// Every core is a template over the complex type: std::complex<T>
 // runs one butterfly (the XMTC kernel, one thread per butterfly), and
 // SplitComplex<T, L> runs L independent butterflies in vector lanes (the
 // host Plan1D stages). Both instantiations execute the same source, so every
@@ -142,19 +142,21 @@ inline void dft8(C* v, bool inverse) {
 /// In-place r-point DFT via the master twiddle table of a length-n plan
 /// (n divisible by r). O(r^2); used for radices without a hardcoded core.
 /// Output i sums v[t] * w_r^{-i*t}; the root index i*t mod r is stepped by
-/// i and wrapped at r instead of divided.
-template <typename T>
-inline void dft_generic(std::complex<T>* v, unsigned r,
-                        const TwiddleTable<T>& master, std::size_t n) {
+/// i and wrapped at r instead of divided. Like the fixed cores it is a
+/// template over the complex type, so lanes round as the scalar core does.
+template <typename C>
+inline void dft_generic(C* v, unsigned r,
+                        const TwiddleTable<typename C::value_type>& master,
+                        std::size_t n) {
   XU_DCHECK(r >= 2 && r <= kMaxRadix);
   XU_DCHECK(n % r == 0);
   const std::size_t stride = n / r;
-  std::complex<T> y[kMaxRadix];
+  C y[kMaxRadix];
   for (unsigned i = 0; i < r; ++i) {
-    std::complex<T> acc = v[0];
+    C acc = v[0];
     unsigned root = i;  // i*t mod r at t = 1
     for (unsigned t = 1; t < r; ++t) {
-      acc += cmul(v[t], master[root * stride]);
+      acc = acc + cmul(v[t], master[root * stride]);
       root += i;
       if (root >= r) root -= r;
     }
@@ -166,9 +168,10 @@ inline void dft_generic(std::complex<T>* v, unsigned r,
 /// Dispatches to the fastest available core for radix r.
 /// `master` must be the plan's full-size table (its direction determines
 /// forward/inverse for the generic path; `inverse` must agree with it).
-template <typename T>
-inline void small_dft(std::complex<T>* v, unsigned r, bool inverse,
-                      const TwiddleTable<T>& master, std::size_t n) {
+template <typename C>
+inline void small_dft(C* v, unsigned r, bool inverse,
+                      const TwiddleTable<typename C::value_type>& master,
+                      std::size_t n) {
   switch (r) {
     case 2:
       dft2(v);

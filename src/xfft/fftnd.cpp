@@ -27,13 +27,6 @@ bool exec_expired(const ExecOptions& exec) {
   return exec.cancel != nullptr && exec.cancel->expired();
 }
 
-/// Rows per tile of both rotation kernels: one cache line of elements.
-/// Consecutive rows land side by side in the destination, so a tile's
-/// store runs fill whole lines (docs/architecture.md §3 has the why).
-template <typename T>
-inline constexpr std::size_t kTileRows =
-    xutil::kDefaultAlignment / sizeof(std::complex<T>);
-
 /// Walks rows [lo, hi) in tiles of kTileRows<T> aligned to multiples of
 /// the width (the first and last may be partial), polling the cancel
 /// token before each.
@@ -121,17 +114,22 @@ std::uint64_t PlanND<T>::actual_flops() const {
 }
 
 template <typename T>
-void PlanND<T>::apply_scaling(std::span<std::complex<T>> data,
-                              const ExecOptions& exec) const {
-  if (dir_ == Direction::kInverse && opt_.scaling == Scaling::kUnitary1OverN) {
-    const T s = T(1) / static_cast<T>(dims_.total());
-    for_chunks(exec, 0, static_cast<std::int64_t>(data.size()),
-               [&](std::int64_t lo, std::int64_t hi) {
-                 for (std::int64_t i = lo; i < hi; ++i) {
-                   data[static_cast<std::size_t>(i)] *= s;
-                 }
-               });
-  }
+void PlanND<T>::copy_scaled(std::span<const std::complex<T>> src,
+                            std::span<std::complex<T>> dst,
+                            const ExecOptions& exec) const {
+  const bool scale =
+      dir_ == Direction::kInverse && opt_.scaling == Scaling::kUnitary1OverN;
+  if (!scale && src.data() == dst.data()) return;
+  // x * s is the same multiply as x *= s, so fusing the copy-back and the
+  // scale keeps the bits.
+  const T s = scale ? T(1) / static_cast<T>(dims_.total()) : T(1);
+  for_chunks(exec, 0, static_cast<std::int64_t>(dst.size()),
+             [&](std::int64_t lo, std::int64_t hi) {
+               for (auto i = static_cast<std::size_t>(lo);
+                    i < static_cast<std::size_t>(hi); ++i) {
+                 dst[i] = scale ? src[i] * s : src[i];
+               }
+             });
 }
 
 template <typename T>
@@ -167,22 +165,27 @@ void PlanND<T>::execute(std::span<std::complex<T>> data,
         // and each frequency as one whole-line run. Otherwise each row is
         // transformed in place through one reorder scratch per chunk.
         const std::size_t stride = cur.ny * cur.nz;
-        const auto scatter_tile = [&](std::size_t t, std::size_t e) {
-          plan.execute_scatter_tile(in.subspan(t * len, (e - t) * len), out, t,
-                                    stride);
-        };
         for_chunks(exec, 0, static_cast<std::int64_t>(n / len),
                    [&](std::int64_t lo, std::int64_t hi) {
+                     // One scratch per chunk: the tiles' lane planes, or
+                     // the rows' reorder buffer.
+                     xutil::AlignedVector<std::complex<T>> chunk_scratch(
+                         fused ? kTileRows<T> * len : len);
+                     const std::span<std::complex<T>> scratch(chunk_scratch);
                      if (fused) {
-                       for_tiles<T>(exec, lo, hi, scatter_tile);
+                       for_tiles<T>(exec, lo, hi,
+                                    [&](std::size_t t, std::size_t e) {
+                                      plan.execute_scatter_tile(
+                                          in.subspan(t * len, (e - t) * len),
+                                          out, t, stride, scratch);
+                                    });
                        return;
                      }
-                     xutil::AlignedVector<std::complex<T>> row_scratch(len);
                      for (std::int64_t row = lo; row < hi; ++row) {
                        if (exec_expired(exec)) return;
                        plan.execute(
                            in.subspan(static_cast<std::size_t>(row) * len, len),
-                           std::span<std::complex<T>>(row_scratch.data(), len));
+                           scratch);
                      }
                    });
       }
@@ -192,10 +195,11 @@ void PlanND<T>::execute(std::span<std::complex<T>> data,
       cur = Dims3{cur.ny, cur.nz, cur.nx};
     }
     // Three ping-pong swaps leave the result in the scratch buffer.
-    std::copy(src, src + n, data.data());
+    copy_scaled(std::span<const std::complex<T>>(src, n), data, exec);
+    return;
   }
   if (exec_expired(exec)) return;
-  apply_scaling(data, exec);
+  copy_scaled(data, data, exec);
 }
 
 template void rotate_axes<float>(std::span<const Cf>, std::span<Cf>, Dims3,

@@ -99,8 +99,11 @@ class PlanND {
   [[nodiscard]] const Plan1D<T>& axis_plan(int axis) const;
 
  private:
-  void apply_scaling(std::span<std::complex<T>> data,
-                     const ExecOptions& exec) const;
+  /// dst[i] = src[i], times 1/N on a unitary inverse, chunked on the pool.
+  /// src may be dst (scaling in place); then without scaling it is a no-op.
+  void copy_scaled(std::span<const std::complex<T>> src,
+                   std::span<std::complex<T>> dst,
+                   const ExecOptions& exec) const;
 
   Dims3 dims_;
   Direction dir_;

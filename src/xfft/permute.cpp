@@ -1,5 +1,6 @@
 #include "xfft/permute.hpp"
 
+#include <limits>
 #include <vector>
 
 #include "xutil/check.hpp"
@@ -33,6 +34,8 @@ std::vector<std::uint32_t> dif_output_permutation(
   for (const unsigned r : radices) product *= r;
   XU_CHECK_MSG(product == n, "stage radices multiply to "
                                  << product << ", expected " << n);
+  XU_CHECK_MSG(n <= std::numeric_limits<std::uint32_t>::max(),
+               "permutation length " << n << " exceeds the uint32_t limit");
   std::vector<std::uint32_t> perm(n);
   for (std::size_t k = 0; k < n; ++k) {
     perm[k] = static_cast<std::uint32_t>(dif_output_position(k, radices, n));

@@ -1,8 +1,18 @@
 #include "xfft/plan1d.hpp"
 
 #include <algorithm>
+#include <array>
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <utility>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+#if __has_include(<unistd.h>)
+#include <unistd.h>
+#endif
 
 #include "xfft/butterflies.hpp"
 #include "xutil/aligned.hpp"
@@ -70,17 +80,23 @@ SplitComplex<T, L> load_run(const std::complex<T>* p,
           __builtin_shufflevector(lo, hi, (2 * I + 1)...)};
 }
 
-/// Inverse of load_run: interleaves the lanes back into L complex values.
+/// Inverse of load_run's shuffles: the two 16-byte halves of the L
+/// complex values, interleaved back into memory order.
+template <typename T, std::size_t L, std::size_t... I>
+std::array<typename SplitComplex<T, L>::V, 2> interleave(
+    SplitComplex<T, L> x, std::index_sequence<I...> /*lanes*/) {
+  return {__builtin_shufflevector(x.re, x.im, (I / 2 + I % 2 * L)...),
+          __builtin_shufflevector(x.re, x.im, (L / 2 + I / 2 + I % 2 * L)...)};
+}
+
+/// Inverse of load_run: writes the lanes back as L complex values.
 template <typename T, std::size_t L, std::size_t... I>
 void store_run(std::complex<T>* p, SplitComplex<T, L> x,
-               std::index_sequence<I...> /*lanes*/) {
-  using V = typename SplitComplex<T, L>::V;
-  const V lo = __builtin_shufflevector(x.re, x.im, (I / 2 + I % 2 * L)...);
-  const V hi =
-      __builtin_shufflevector(x.re, x.im, (L / 2 + I / 2 + I % 2 * L)...);
+               std::index_sequence<I...> lanes) {
+  const auto halves = interleave(x, lanes);
   T* q = reinterpret_cast<T*>(p);
-  std::memcpy(q, &lo, sizeof lo);
-  std::memcpy(q + L, &hi, sizeof hi);
+  std::memcpy(q, &halves[0], sizeof halves[0]);
+  std::memcpy(q + L, &halves[1], sizeof halves[1]);
 }
 
 /// Lane l holds p[at[l]].
@@ -102,6 +118,19 @@ void scatter(std::complex<T>* p, const std::size_t (&at)[L],
   for (std::size_t l = 0; l < L; ++l) p[at[l]] = {x.re[l], x.im[l]};
 }
 
+/// The hardcoded R-point core, R in {2, 4, 8}, on any complex type.
+template <unsigned R, typename C>
+void dft_fixed(C (&v)[R], bool inverse) {
+  if constexpr (R == 2) {
+    dft2(v);
+  } else if constexpr (R == 4) {
+    dft4(v, inverse);
+  } else {
+    static_assert(R == 8);
+    dft8(v, inverse);
+  }
+}
+
 /// Radix-R stage geometry. Butterfly (base, j), for each block start `base`
 /// and j < sub, reads x[base + j + t*sub] for t < R, runs the R-point core,
 /// multiplies output i (1 <= i < R) by W[i*j*tw_stride] and writes back in
@@ -120,13 +149,7 @@ struct LaneStage {
   template <std::size_t L>
   void butterflies(SplitComplex<T, L> (&v)[R],
                    const std::size_t (&j)[L]) const {
-    if constexpr (R == 2) {
-      dft2(v);
-    } else if constexpr (R == 4) {
-      dft4(v, inverse);
-    } else {
-      dft8(v, inverse);
-    }
+    dft_fixed(v, inverse);
     for (unsigned i = 1; i < R; ++i) {
       std::size_t at[L] = {};
       for (std::size_t l = 0; l < L; ++l) at[l] = i * j[l] * tw_stride;
@@ -187,12 +210,244 @@ struct LaneStage {
   }
 };
 
+// ---------------------------------------------------------------------------
+// Rows in lanes: the kernel of execute_scatter_tile. A lane group is
+// kLanes<T> rows of one tile in split re/im planes: plane element m is one
+// SplitComplex whose lane l is row l's value m. Every butterfly then has
+// the same (base, j) in all lanes, so its inputs are contiguous plane loads
+// and its twiddle is one broadcast value.
+// ---------------------------------------------------------------------------
+
+template <typename T>
+using Lanes = SplitComplex<T, kLanes<T>>;
+
+/// T values per plane element: its real vector, then its imaginary vector.
+template <typename T>
+inline constexpr std::size_t kPlaneStride = 2 * kLanes<T>;
+
+/// Destination line: a full tile of rows fills one.
+inline constexpr std::size_t kLineBytes = xutil::kDefaultAlignment;
+
+/// Plane element at p. The two halves move as separate 16-byte vectors:
+/// one 32-byte copy of the pair made GCC route every value through the
+/// stack, which cost a third of the pass at n = 256.
+template <typename T>
+Lanes<T> load_lanes(const T* p) {
+  Lanes<T> x{};
+  std::memcpy(&x.re, p, sizeof x.re);
+  std::memcpy(&x.im, p + kLanes<T>, sizeof x.im);
+  return x;
+}
+
+template <typename T>
+void store_lanes(T* p, Lanes<T> x) {
+  std::memcpy(p, &x.re, sizeof x.re);
+  std::memcpy(p + kLanes<T>, &x.im, sizeof x.im);
+}
+
+/// In-register transpose of an L x L block: afterwards v[i][l] is the old
+/// v[l][i]. Pure data movement, so no bit changes.
+template <typename V, std::size_t L>
+void transpose(V (&v)[L]) {
+  if constexpr (L == 2) {
+    const V a = __builtin_shufflevector(v[0], v[1], 0, 2);
+    const V b = __builtin_shufflevector(v[0], v[1], 1, 3);
+    v[0] = a;
+    v[1] = b;
+  } else {
+    static_assert(L == 4);
+    const V t0 = __builtin_shufflevector(v[0], v[1], 0, 4, 1, 5);
+    const V t1 = __builtin_shufflevector(v[0], v[1], 2, 6, 3, 7);
+    const V t2 = __builtin_shufflevector(v[2], v[3], 0, 4, 1, 5);
+    const V t3 = __builtin_shufflevector(v[2], v[3], 2, 6, 3, 7);
+    v[0] = __builtin_shufflevector(t0, t2, 0, 1, 4, 5);
+    v[1] = __builtin_shufflevector(t0, t2, 2, 3, 6, 7);
+    v[2] = __builtin_shufflevector(t1, t3, 0, 1, 4, 5);
+    v[3] = __builtin_shufflevector(t1, t3, 2, 3, 6, 7);
+  }
+}
+
+/// Deinterleaves `live` <= kLanes<T> rows of length n (row l at
+/// rows + l*n) into one lane group's planes. Lanes from `live` on hold
+/// zeros: they run the butterflies but are never stored.
+template <typename T>
+void to_planes(const std::complex<T>* rows, std::size_t live, std::size_t n,
+               T* plane) {
+  constexpr std::size_t L = kLanes<T>;
+  constexpr std::size_t S = kPlaneStride<T>;
+  constexpr auto lanes = std::make_index_sequence<L>{};
+  std::size_t m = 0;
+  if (live == L) {
+    // L values of each of the L rows, transposed in registers.
+    for (; m + L <= n; m += L) {
+      typename Lanes<T>::V re[L] = {};
+      typename Lanes<T>::V im[L] = {};
+      for (std::size_t l = 0; l < L; ++l) {
+        const Lanes<T> x = load_run<T, L>(rows + l * n + m, lanes);
+        re[l] = x.re;
+        im[l] = x.im;
+      }
+      transpose(re);
+      transpose(im);
+      for (std::size_t i = 0; i < L; ++i) {
+        store_lanes(plane + (m + i) * S, Lanes<T>{re[i], im[i]});
+      }
+    }
+  }
+  for (; m < n; ++m) {
+    Lanes<T> x{};
+    for (std::size_t l = 0; l < live; ++l) {
+      x.re[l] = rows[l * n + m].real();
+      x.im[l] = rows[l * n + m].imag();
+    }
+    store_lanes(plane + m * S, x);
+  }
+}
+
+/// One DIF stage of radix R over a lane group's planes; R == 0 runs the
+/// generic core at radix r. Each step is butterfly (base, j) of the scalar
+/// stage loop in every lane: the R inputs are R plane loads, and the
+/// twiddle W[i*j*tw_stride] is broadcast, W[0] = (1, 0) included.
+template <unsigned R, typename T>
+void plane_stage(T* plane, unsigned r, std::size_t block,
+                 const TwiddleTable<T>& tw, std::size_t n, bool inverse) {
+  constexpr std::size_t S = kPlaneStride<T>;
+  const unsigned radix = R == 0 ? r : R;
+  const std::size_t sub = block / radix;
+  const std::size_t tw_stride = n / block;
+  Lanes<T> v[R == 0 ? kMaxRadix : R] = {};
+  for (std::size_t base = 0; base < n; base += block) {
+    for (std::size_t j = 0; j < sub; ++j) {
+      T* const p = plane + (base + j) * S;
+      for (unsigned t = 0; t < radix; ++t) v[t] = load_lanes(p + t * sub * S);
+      if constexpr (R == 0) {
+        dft_generic(v, radix, tw, n);
+      } else {
+        dft_fixed(v, inverse);
+      }
+      for (unsigned i = 1; i < radix; ++i) {
+        v[i] = cmul(v[i], tw[i * j * tw_stride]);
+      }
+      for (unsigned t = 0; t < radix; ++t) store_lanes(p + t * sub * S, v[t]);
+    }
+  }
+}
+
+/// Every stage of an n-point plan with the given radices over one lane
+/// group's planes, in place; output in digit-reversed order.
+template <typename T>
+void plane_stages(T* plane, const std::vector<unsigned>& radices,
+                  const TwiddleTable<T>& tw, std::size_t n, bool inverse) {
+  if (n == 1) return;
+  std::size_t block = n;
+  for (const unsigned r : radices) {
+    switch (r) {
+      case 2:
+        plane_stage<2>(plane, r, block, tw, n, inverse);
+        break;
+      case 4:
+        plane_stage<4>(plane, r, block, tw, n, inverse);
+        break;
+      case 8:
+        plane_stage<8>(plane, r, block, tw, n, inverse);
+        break;
+      default:
+        plane_stage<0>(plane, r, block, tw, n, inverse);
+        break;
+    }
+    block /= r;
+  }
+}
+
+/// Stores the 16 bytes at v to p. With Stream, on x86 with SSE2, the store
+/// is non-temporal: it goes to memory through a write-combining buffer and
+/// does not read the line into the cache first. p must then be 16-byte
+/// aligned, and since such stores are weakly ordered, a run of them ends
+/// with fence_streams() before other threads may read the data. Elsewhere
+/// Stream is a plain store.
+template <bool Stream>
+inline void store16(void* p, const void* v) {
+#if defined(__SSE2__)
+  if constexpr (Stream) {
+    __m128i x{};
+    std::memcpy(&x, v, sizeof x);
+    _mm_stream_si128(static_cast<__m128i*>(p), x);
+    return;
+  }
+#endif
+  std::memcpy(p, v, 16);
+}
+
+inline void fence_streams() {
+#if defined(__SSE2__)
+  _mm_sfence();
+#endif
+}
+
+/// L2 size as sysconf reports it, or 2 MiB when it reports none. Streaming
+/// pays once the destination cannot stay in the L2: below that, the lines
+/// a pass writes are read again from cache by the next pass.
+std::size_t l2_bytes() {
+  static const std::size_t bytes = [] {
+#if defined(_SC_LEVEL2_CACHE_SIZE)
+    const long v = sysconf(_SC_LEVEL2_CACHE_SIZE);
+    if (v > 0) return static_cast<std::size_t>(v);
+#endif
+    return std::size_t{2} << 20;
+  }();
+  return bytes;
+}
+
+/// Writes frequency k of row b, for the `live` rows held in consecutive
+/// lane groups of n elements from `planes`, to y0[k*stride + b], scaled by
+/// s when `scale`.
+/// A full lane group is two 16-byte stores; with Stream the `live` rows
+/// are a whole aligned line per k, streamed past the cache.
+template <bool Stream, typename T>
+void from_planes(const T* planes, std::size_t n, std::size_t live,
+                 const std::uint32_t* perm, std::complex<T>* y0,
+                 std::size_t stride, bool scale, T s) {
+  constexpr std::size_t L = kLanes<T>;
+  constexpr std::size_t S = kPlaneStride<T>;
+  constexpr auto lanes = std::make_index_sequence<L>{};
+  for (std::size_t k = 0; k < n; ++k) {
+    std::complex<T>* const y = y0 + k * stride;
+    const T* const x0 = planes + perm[k] * S;
+    for (std::size_t b = 0; b < live; b += L) {
+      Lanes<T> x = load_lanes(x0 + b / L * n * S);
+      // Lane-wise complex * real: (re*s, im*s), as std::complex does it.
+      if (scale) x = {x.re * s, x.im * s};
+      if (live - b >= L) {
+        const auto halves = interleave(x, lanes);
+        T* const q = reinterpret_cast<T*>(y + b);
+        store16<Stream>(q, &halves[0]);
+        store16<Stream>(q + L, &halves[1]);
+      } else {
+        for (std::size_t l = 0; b + l < live; ++l) {
+          y[b + l] = {x.re[l], x.im[l]};
+        }
+      }
+    }
+  }
+  if constexpr (Stream) fence_streams();
+}
+
+/// n, once known to fit the uint32_t output permutation. Checked in the
+/// member-init list, so an oversized plan throws before its tables exist.
+std::size_t checked_plan_size(std::size_t n) {
+  XU_CHECK_MSG(n >= 1, "transform size must be >= 1");
+  XU_CHECK_MSG(n <= std::numeric_limits<std::uint32_t>::max(),
+               "transform size " << n
+                                 << " exceeds the uint32_t output "
+                                    "permutation limit of 2^32 - 1");
+  return n;
+}
+
 }  // namespace
 
 template <typename T>
 Plan1D<T>::Plan1D(std::size_t n, Direction dir, PlanOptions opt)
-    : n_(n), dir_(dir), opt_(opt), tw_(std::max<std::size_t>(n, 1), dir) {
-  XU_CHECK_MSG(n >= 1, "transform size must be >= 1");
+    : n_(checked_plan_size(n)), dir_(dir), opt_(opt), tw_(n_, dir) {
   radices_ = choose_radices(n, opt_.max_radix);
   if (n == 1) {
     perm_ = {0};
@@ -290,31 +545,55 @@ void Plan1D<T>::execute_digit_reversed(std::span<std::complex<T>> data) const {
 }
 
 template <typename T>
-void Plan1D<T>::execute_scatter_tile(std::span<std::complex<T>> tile,
+void Plan1D<T>::execute_scatter_tile(std::span<const std::complex<T>> tile,
                                      std::span<std::complex<T>> out,
-                                     std::size_t offset,
-                                     std::size_t stride) const {
+                                     std::size_t offset, std::size_t stride,
+                                     std::span<std::complex<T>> scratch) const {
+  constexpr std::size_t L = kLanes<T>;
+  constexpr std::size_t B = kTileRows<T>;
+  static_assert(B % L == 0, "a tile is whole lane groups");
   XU_CHECK_MSG(!tile.empty() && tile.size() % n_ == 0,
                "tile length " << tile.size()
                               << " is not a multiple of plan size " << n_);
   const std::size_t rows = tile.size() / n_;
   XU_CHECK_MSG(offset + (rows - 1) + (n_ - 1) * stride < out.size(),
                "scatter range exceeds destination buffer");
-  for (std::size_t b = 0; b < rows; ++b) run_stages(tile.subspan(b * n_, n_));
-  const bool scale =
-      dir_ == Direction::kInverse && opt_.scaling == Scaling::kUnitary1OverN;
+  // Planes for at most one tile of rows, rounded up to whole lane groups.
+  const std::size_t planes_len = n_ * std::min(B, (rows + L - 1) / L * L);
+  XU_CHECK_MSG(scratch.empty() || scratch.size() >= planes_len,
+               "scratch length " << scratch.size() << " < " << planes_len);
+  xutil::AlignedVector<std::complex<T>> own;
+  if (scratch.empty()) {
+    own.resize(planes_len);
+    scratch = std::span<std::complex<T>>(own.data(), planes_len);
+  }
+  T* const planes = reinterpret_cast<T*>(scratch.data());
+  const bool inverse = dir_ == Direction::kInverse;
+  const bool scale = inverse && opt_.scaling == Scaling::kUnitary1OverN;
   const T s = scale ? T(1) / static_cast<T>(n_) : T(1);
-  for (std::size_t k = 0; k < n_; ++k) {
-    const std::complex<T>* x = tile.data() + perm_[k];
-    std::complex<T>* y = out.data() + offset + k * stride;
-    for (std::size_t b = 0; b < rows; ++b) {
-      y[b] = scale ? x[b * n_] * s : x[b * n_];
+  // Stream whole lines (every k's line aligned) into a destination the L2
+  // cannot hold; smaller ones stay cached for the next pass.
+  const bool big = out.size() * sizeof(std::complex<T>) > l2_bytes() &&
+                   stride * sizeof(std::complex<T>) % kLineBytes == 0;
+  for (std::size_t b0 = 0; b0 < rows; b0 += B) {
+    const std::size_t live = std::min(B, rows - b0);
+    for (std::size_t b = 0; b < live; b += L) {
+      T* const plane = planes + b / L * n_ * kPlaneStride<T>;
+      to_planes(tile.data() + (b0 + b) * n_, std::min(L, live - b), n_, plane);
+      plane_stages(plane, radices_, tw_, n_, inverse);
+    }
+    std::complex<T>* const y0 = out.data() + offset + b0;
+    if (big && live == B &&
+        reinterpret_cast<std::uintptr_t>(y0) % kLineBytes == 0) {
+      from_planes<true>(planes, n_, live, perm_.data(), y0, stride, scale, s);
+    } else {
+      from_planes<false>(planes, n_, live, perm_.data(), y0, stride, scale, s);
     }
   }
 }
 
 template <typename T>
-void Plan1D<T>::execute_scatter_affine(std::span<std::complex<T>> row,
+void Plan1D<T>::execute_scatter_affine(std::span<const std::complex<T>> row,
                                        std::span<std::complex<T>> out,
                                        std::size_t offset,
                                        std::size_t stride) const {

@@ -10,6 +10,7 @@
 #include "xfft/permute.hpp"
 #include "xfft/twiddle.hpp"
 #include "xfft/types.hpp"
+#include "xutil/aligned.hpp"
 #include "xutil/cancel.hpp"
 
 namespace xfft {
@@ -20,6 +21,13 @@ namespace xfft {
 /// Throws if n has a prime factor above kMaxRadix.
 [[nodiscard]] std::vector<unsigned> choose_radices(std::size_t n,
                                                    unsigned max_radix = 8);
+
+/// Rows per tile of the fused scatter and of rotate_axes: one cache line
+/// of elements (8 complex<float>, 4 complex<double>). Consecutive rows land
+/// side by side in the destination, so a tile's store runs fill whole lines.
+template <typename T>
+inline constexpr std::size_t kTileRows =
+    xutil::kDefaultAlignment / sizeof(std::complex<T>);
 
 /// Tuning options for Plan1D.
 struct PlanOptions {
@@ -60,20 +68,25 @@ class Plan1D {
   /// use output_perm() to locate frequency k at position output_perm()[k].
   void execute_digit_reversed(std::span<std::complex<T>> data) const;
 
-  /// Butterfly stages on each of the `tile.size() / n` consecutive rows of
-  /// `tile` (in place), then a scatter of row b's spectrum into
-  /// out[offset + b + k*stride] = X_b[k]. Implements the paper's fusion of
-  /// the axis rotation with the last iteration (one memory pass instead of
-  /// reorder-then-rotate). Consecutive rows land side by side, so each
-  /// frequency k is stored as one contiguous run of rows: with a tile of a
-  /// cache line's worth of rows, every store run fills whole lines instead
-  /// of one element per line of a large power-of-two stride.
-  void execute_scatter_tile(std::span<std::complex<T>> tile,
+  /// Transforms each of the `tile.size() / n` consecutive rows of `tile`
+  /// and scatters row b's spectrum into out[offset + b + k*stride] = X_b[k].
+  /// Implements the paper's fusion of the axis rotation with the last
+  /// iteration (one memory pass instead of reorder-then-rotate). Each group
+  /// of kTileRows<T> rows (one cache line of elements) runs in vector lanes,
+  /// one row per lane, in split re/im planes held in `scratch`; the group
+  /// then writes each frequency k as one contiguous run of rows, a whole
+  /// line when the group is full (docs/architecture.md §3). `tile` is only
+  /// read.
+  ///
+  /// `scratch` needs length >= n * kTileRows<T>; an empty `scratch` means a
+  /// buffer that lives only for this call, as for execute().
+  void execute_scatter_tile(std::span<const std::complex<T>> tile,
                             std::span<std::complex<T>> out,
-                            std::size_t offset, std::size_t stride) const;
+                            std::size_t offset, std::size_t stride,
+                            std::span<std::complex<T>> scratch = {}) const;
 
   /// One-row case of execute_scatter_tile: out[offset + k*stride] = X[k].
-  void execute_scatter_affine(std::span<std::complex<T>> row,
+  void execute_scatter_affine(std::span<const std::complex<T>> row,
                               std::span<std::complex<T>> out,
                               std::size_t offset, std::size_t stride) const;
 

@@ -2,14 +2,20 @@
 // checked against the O(N^2) double-precision oracle.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <numeric>
+
+#if __has_include(<unistd.h>)
+#include <unistd.h>
+#endif
 
 #include "test_helpers.hpp"
 #include "xfft/butterflies.hpp"
 #include "xfft/permute.hpp"
 #include "xfft/plan1d.hpp"
+#include "xutil/aligned.hpp"
 
 namespace {
 
@@ -135,6 +141,11 @@ TEST(SmallDft, CmulMatchesOperatorStarBitForBitOnFiniteOperands) {
 // Lane-batched stages: byte-identical to one scalar butterfly at a time.
 // ---------------------------------------------------------------------------
 
+/// Which multiplies by W[0] = (1, 0) the scalar stage loop performs: all
+/// of them (Plan1D's contract), none in the last stage, or none at all.
+/// The dropping variants show that a test input can tell the difference.
+enum class Unity { kKeep, kDropLast, kDropAll };
+
 /// Plan1D's transform written one butterfly at a time: per stage, small_dft
 /// then cmul of outputs 1..r-1 by stage_twiddle, then the digit-reversal
 /// reorder and the 1/n scaling. The lane-batched stages must reproduce it
@@ -142,20 +153,25 @@ TEST(SmallDft, CmulMatchesOperatorStarBitForBitOnFiniteOperands) {
 template <typename T>
 std::vector<std::complex<T>> scalar_stage_fft(std::vector<std::complex<T>> x,
                                               Direction dir,
-                                              unsigned max_radix) {
+                                              unsigned max_radix,
+                                              Unity unity = Unity::kKeep) {
   const std::size_t n = x.size();
+  if (n == 1) return x;  // identity; the 1/n scale is a multiply by 1
   const xfft::TwiddleTable<T> tw(n, dir);
   const auto radices = xfft::choose_radices(n, max_radix);
   const bool inverse = dir == Direction::kInverse;
   std::complex<T> v[xfft::kMaxRadix];
   std::size_t block = n;
-  for (const unsigned r : radices) {
+  for (std::size_t stage = 0; stage < radices.size(); ++stage) {
+    const unsigned r = radices[stage];
     const std::size_t sub = block / r;
+    const bool drop = unity == Unity::kDropAll ||
+                      (unity == Unity::kDropLast && stage + 1 == radices.size());
     for (std::size_t base = 0; base < n; base += block) {
       for (std::size_t j = 0; j < sub; ++j) {
         for (unsigned t = 0; t < r; ++t) v[t] = x[base + j + t * sub];
         xfft::small_dft(v, r, inverse, tw, n);
-        for (unsigned i = 1; i < r; ++i) {
+        for (unsigned i = 1; i < r && !(drop && j == 0); ++i) {
           v[i] = xfft::cmul(v[i], tw.stage_twiddle(block, i, j));
         }
         for (unsigned t = 0; t < r; ++t) x[base + j + t * sub] = v[t];
@@ -230,6 +246,189 @@ INSTANTIATE_TEST_SUITE_P(Sizes, Plan1DLanes,
                          ::testing::Values(2, 4, 8, 16, 32, 64, 128, 256, 512,
                                            1024, 2048, 4096, 16384, 24, 60,
                                            768, 1000));
+
+// ---------------------------------------------------------------------------
+// Rows in lanes: execute_scatter_tile against the scalar stage loop.
+// ---------------------------------------------------------------------------
+
+/// A destination above any L2 size the streaming rule can read (sysconf's
+/// report, or its 2 MiB fallback), in elements.
+template <typename T>
+std::size_t above_l2_elems() {
+  long l2 = 0;
+#if defined(_SC_LEVEL2_CACHE_SIZE)
+  l2 = sysconf(_SC_LEVEL2_CACHE_SIZE);
+#endif
+  const auto bytes = static_cast<std::size_t>(std::max(l2, 2L << 20));
+  return 2 * bytes / sizeof(std::complex<T>);
+}
+
+/// Tiles of 1..kTileRows + 3 rows (beyond one line, a full tile then a
+/// partial one) into three destinations: line-aligned runs and a
+/// line-multiple stride in a small buffer (plain whole-line stores), an
+/// offset of one element with a stride that is no line multiple (plain
+/// stores), and line-aligned runs into a buffer above the L2 size (full
+/// tiles are streamed). Every byte of the destination must equal the
+/// scalar stage loop's rows placed at offset + b + k*stride, and the
+/// sentinel elsewhere.
+template <typename T>
+void expect_tile_matches_scalar_stages(std::size_t n) {
+  using C = std::complex<T>;
+  constexpr std::size_t kRows = xfft::kTileRows<T>;
+  const C sentinel{T(-7), T(7)};
+  struct Dest {
+    const char* name;
+    std::size_t offset;
+    std::size_t stride;
+    std::size_t min_len;
+  };
+  for (const auto dir : {Direction::kForward, Direction::kInverse}) {
+    const Plan1D<T> plan(n, dir);
+    for (std::size_t rows = 1; rows <= kRows + 3; ++rows) {
+      const auto input = signed_zero_signal<T>(rows * n, n * 16 + rows, 0.25);
+      std::vector<std::vector<C>> want_rows;
+      for (std::size_t b = 0; b < rows; ++b) {
+        want_rows.push_back(scalar_stage_fft(
+            std::vector<C>(input.begin() + static_cast<std::ptrdiff_t>(b * n),
+                           input.begin() +
+                               static_cast<std::ptrdiff_t>((b + 1) * n)),
+            dir, 8));
+      }
+      for (const Dest d : {Dest{"aligned", kRows, 2 * kRows, 0},
+                           Dest{"unaligned", 1, rows + 3, 0},
+                           Dest{"streamed", 0, 2 * kRows,
+                                above_l2_elems<T>()}}) {
+        const std::size_t len =
+            std::max(d.offset + rows + (n - 1) * d.stride, d.min_len);
+        xutil::AlignedVector<C> want(len, sentinel);
+        for (std::size_t b = 0; b < rows; ++b) {
+          for (std::size_t k = 0; k < n; ++k) {
+            want[d.offset + b + k * d.stride] = want_rows[b][k];
+          }
+        }
+        xutil::AlignedVector<C> got(len, sentinel);
+        xutil::AlignedVector<C> scratch(kRows * n);
+        plan.execute_scatter_tile(input, std::span<C>(got), d.offset, d.stride,
+                                  std::span<C>(scratch));
+        ASSERT_EQ(std::memcmp(got.data(), want.data(), len * sizeof(C)), 0)
+            << "T=" << sizeof(T) << "B n=" << n << " rows=" << rows
+            << " dir=" << static_cast<int>(dir) << " dest=" << d.name;
+      }
+    }
+  }
+}
+
+class Plan1DTile : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(Plan1DTile, MatchesScalarStageLoopByteForByte) {
+  expect_tile_matches_scalar_stages<float>(GetParam());
+  expect_tile_matches_scalar_stages<double>(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, Plan1DTile,
+                         ::testing::Values(1, 2, 8, 64, 256, 12, 60, 768,
+                                           1000));
+
+TEST(Plan1D, ScatterTileRejectsShortScratch) {
+  const std::size_t n = 64;
+  const Plan1D<float> plan(n, Direction::kForward);
+  const std::vector<Cf> tile(xfft::kTileRows<float> * n);
+  std::vector<Cf> out(tile.size());
+  std::vector<Cf> scratch(tile.size() - 1);
+  EXPECT_THROW(plan.execute_scatter_tile(tile, std::span<Cf>(out), 0,
+                                         xfft::kTileRows<float>,
+                                         std::span<Cf>(scratch)),
+               xutil::Error);
+}
+
+// ---------------------------------------------------------------------------
+// Unity twiddles: the multiplies by W[0] = (1, 0) are kept.
+// ---------------------------------------------------------------------------
+
+/// Inputs on which dropping `unity`'s multiplies by W[0] changes output
+/// bits. Such a multiply changes bits only on a -0 component, e.g.
+/// (-0, -1) * (1, 0) = (+0, -1), and sums of random values almost never
+/// give one at n > 16. Two families do: an impulse of (-1, -0) at 0 on a
+/// +0 background (every stage's j = 0 butterfly carries a -0), and
+/// signed zeros with a few +-1, repeated with period 2, 4 or 8, whose
+/// exact cancellations leave -0 components in the last stage. Candidates are
+/// checked against the scalar loop, so each returned input is shown to
+/// catch the drop.
+template <typename T>
+std::vector<std::vector<std::complex<T>>> unity_probes(std::size_t n,
+                                                       Direction dir,
+                                                       Unity unity) {
+  using C = std::complex<T>;
+  std::vector<std::vector<C>> candidates;
+  std::vector<C> impulse(n, C{T(0), T(0)});
+  impulse[0] = C{T(-1), T(-0.0)};
+  candidates.push_back(impulse);
+  for (const std::size_t period : {2u, 4u, 8u}) {
+    for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+      xutil::Pcg32 rng(seed);
+      std::vector<C> x(n);
+      for (std::size_t m = 0; m < n; ++m) {
+        if (m >= period) {
+          x[m] = x[m - period];
+          continue;
+        }
+        auto part = [&] {
+          const bool one = rng.next_u32() % 8 == 0;
+          const T sign = rng.next_u32() % 2 == 1 ? T(-1) : T(1);
+          return one ? sign : sign * T(0);
+        };
+        const T re = part();
+        x[m] = C{re, part()};
+      }
+      candidates.push_back(x);
+    }
+  }
+  std::vector<std::vector<C>> probes;
+  for (const auto& x : candidates) {
+    const auto keep = scalar_stage_fft(x, dir, 8);
+    const auto drop = scalar_stage_fft(x, dir, 8, unity);
+    if (std::memcmp(keep.data(), drop.data(), n * sizeof(C)) != 0) {
+      probes.push_back(x);
+    }
+  }
+  return probes;
+}
+
+template <typename T>
+void expect_unity_multiplies_kept(std::size_t n) {
+  using C = std::complex<T>;
+  for (const auto dir : {Direction::kForward, Direction::kInverse}) {
+    const Plan1D<T> plan(n, dir);
+    for (const Unity unity : {Unity::kDropLast, Unity::kDropAll}) {
+      const auto probes = unity_probes<T>(n, dir, unity);
+      ASSERT_FALSE(probes.empty())
+          << "no input shows a dropped W[0] multiply at n=" << n;
+      for (const auto& x : probes) {
+        const auto want = scalar_stage_fft(x, dir, 8);
+        auto got = x;
+        plan.execute(std::span<C>(got));
+        ASSERT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(C)), 0)
+            << "execute T=" << sizeof(T) << "B n=" << n;
+        std::vector<C> scattered(n);
+        plan.execute_scatter_affine(x, std::span<C>(scattered), 0, 1);
+        ASSERT_EQ(std::memcmp(scattered.data(), want.data(), n * sizeof(C)),
+                  0)
+            << "execute_scatter_affine T=" << sizeof(T) << "B n=" << n;
+      }
+    }
+  }
+}
+
+class Plan1DUnityTwiddle : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(Plan1DUnityTwiddle, KeepsEveryMultiplyByWZero) {
+  expect_unity_multiplies_kept<float>(GetParam());
+  expect_unity_multiplies_kept<double>(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Sizes, Plan1DUnityTwiddle,
+                         ::testing::Values(64, 128, 256, 512, 1024, 4096,
+                                           16384));
 
 // ---------------------------------------------------------------------------
 // Parameterized sweep: forward transform matches oracle over many sizes.
@@ -479,6 +678,17 @@ TEST(Plan1D, ActualFlopsScalesWithNLogN) {
   const double ratio = static_cast<double>(p4096.actual_flops()) /
                        static_cast<double>(p512.actual_flops());
   EXPECT_NEAR(ratio, 32.0 / 3.0, 1e-9);
+}
+
+TEST(Plan1D, RejectsSizesBeyondUint32PermutationBeforeAllocating) {
+  // 2^33 points would need a 64 GiB twiddle table and a 32 GiB uint32_t
+  // permutation that cannot hold the positions. The size check runs first,
+  // so the plan throws xutil::Error, not std::bad_alloc.
+  const std::size_t n = std::size_t{1} << 33;
+  EXPECT_THROW(Plan1D<float>(n, Direction::kForward), xutil::Error);
+  const std::vector<unsigned> radices(11, 8);  // 8^11 = 2^33
+  EXPECT_THROW(static_cast<void>(xfft::dif_output_permutation(radices, n)),
+               xutil::Error);
 }
 
 TEST(Plan1D, RejectsWrongBufferLength) {
