@@ -46,7 +46,7 @@ int main() {
     xfft::Plan1D<float> plan(n, xfft::Direction::kForward,
                              xfft::PlanOptions{.max_radix = radix});
     auto work = data;
-    std::vector<xfft::Cf> scratch(n);
+    std::vector<xfft::Cf> scratch(plan.scratch_size());
     const int reps = 10;
     const auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < reps; ++i) {

@@ -73,7 +73,7 @@ int main() {
     };
     xfft::Plan1D<float> plan(sz, xfft::Direction::kForward,
                              xfft::PlanOptions{.scaling = xfft::Scaling::kNone});
-    std::vector<xfft::Cf> scratch(sz);
+    std::vector<xfft::Cf> scratch(plan.scratch_size());
     const auto run_plan = [&](auto s) { plan.execute(s, scratch); };
     h.add_row(
         {std::to_string(sz), xutil::format_fixed(time_ms(run_plan), 3),

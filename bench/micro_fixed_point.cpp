@@ -39,7 +39,7 @@ void BM_FloatFft(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   xfft::Plan1D<float> plan(n, xfft::Direction::kForward);
   auto work = signal(n);
-  std::vector<xfft::Cf> scratch(n);
+  std::vector<xfft::Cf> scratch(plan.scratch_size());
   for (auto _ : state) {
     plan.execute(std::span<xfft::Cf>(work), scratch);
     benchmark::DoNotOptimize(work.data());

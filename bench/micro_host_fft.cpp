@@ -27,7 +27,7 @@ void BM_Plan1D(benchmark::State& state) {
   xfft::Plan1D<float> plan(n, xfft::Direction::kForward,
                            xfft::PlanOptions{.max_radix = radix});
   auto data = signal(n);
-  std::vector<xfft::Cf> scratch(n);
+  std::vector<xfft::Cf> scratch(plan.scratch_size());
   for (auto _ : state) {
     plan.execute(std::span<xfft::Cf>(data), scratch);
     benchmark::DoNotOptimize(data.data());

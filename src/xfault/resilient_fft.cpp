@@ -95,7 +95,7 @@ ResilienceReport resilient_fft(std::span<xfft::Cf> data, xfft::Dims3 dims,
       const xfft::Plan1D<float>& plan = plan_for(cur.nx);
       const std::size_t rows = n / cur.nx;
       backup.resize(cur.nx);
-      row_scratch.resize(cur.nx);
+      row_scratch.resize(plan.scratch_size());
       for (std::size_t r = 0; r < rows; ++r) {
         const std::span<xfft::Cf> row(src + r * cur.nx, cur.nx);
         std::copy(row.begin(), row.end(), backup.begin());

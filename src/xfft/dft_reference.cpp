@@ -15,13 +15,21 @@ void dft_reference(std::span<const Cd> in, std::span<Cd> out, Direction dir) {
   if (n == 0) return;
   const double sign = dir == Direction::kForward ? -1.0 : 1.0;
   const double step = sign * 2.0 * std::numbers::pi / static_cast<double>(n);
+  // Root j at angle step*j, indexed by k*t mod n, which keeps the angle
+  // small and the oracle accurate even for large n. The index steps by k
+  // and wraps at n instead of dividing.
+  std::vector<Cd> root(n);
+  for (std::size_t j = 0; j < n; ++j) {
+    const double a = step * static_cast<double>(j);
+    root[j] = Cd{std::cos(a), std::sin(a)};
+  }
   for (std::size_t k = 0; k < n; ++k) {
     Cd acc{0.0, 0.0};
+    std::size_t j = 0;
     for (std::size_t t = 0; t < n; ++t) {
-      // Reduce k*t mod n before taking sin/cos to keep the angle small and
-      // the oracle accurate even for large n.
-      const double a = step * static_cast<double>((k * t) % n);
-      acc += in[t] * Cd{std::cos(a), std::sin(a)};
+      acc += in[t] * root[j];
+      j += k;
+      if (j >= n) j -= n;
     }
     out[k] = acc;
   }

@@ -91,7 +91,8 @@ PlanND<T>::PlanND(Dims3 dims, Direction dir, Options opt)
     }
     plan_of_axis_[static_cast<std::size_t>(axis)] = found;
   }
-  scratch_.resize(dims.total());
+  // Rank 1 runs the row plan on this buffer, whose planes may exceed n.
+  scratch_.resize(std::max(dims.total(), axis_plan(0).scratch_size()));
 }
 
 template <typename T>
@@ -163,14 +164,14 @@ void PlanND<T>::execute(std::span<std::complex<T>> data,
         // into the rotated array: frequency k of row r lands at
         // k*(d1*d2) + r, so tiles write disjoint combs of the destination
         // and each frequency as one whole-line run. Otherwise each row is
-        // transformed in place through one reorder scratch per chunk.
+        // transformed in place through one lane-plane scratch per chunk.
         const std::size_t stride = cur.ny * cur.nz;
         for_chunks(exec, 0, static_cast<std::int64_t>(n / len),
                    [&](std::int64_t lo, std::int64_t hi) {
-                     // One scratch per chunk: the tiles' lane planes, or
-                     // the rows' reorder buffer.
+                     // One scratch per chunk: the tiles' or the rows' lane
+                     // planes.
                      xutil::AlignedVector<std::complex<T>> chunk_scratch(
-                         fused ? kTileRows<T> * len : len);
+                         fused ? kTileRows<T> * len : plan.scratch_size());
                      const std::span<std::complex<T>> scratch(chunk_scratch);
                      if (fused) {
                        for_tiles<T>(exec, lo, hi,

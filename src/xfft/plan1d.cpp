@@ -5,6 +5,8 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <span>
+#include <type_traits>
 #include <utility>
 
 #if defined(__SSE2__)
@@ -89,16 +91,6 @@ std::array<typename SplitComplex<T, L>::V, 2> interleave(
           __builtin_shufflevector(x.re, x.im, (L / 2 + I / 2 + I % 2 * L)...)};
 }
 
-/// Inverse of load_run: writes the lanes back as L complex values.
-template <typename T, std::size_t L, std::size_t... I>
-void store_run(std::complex<T>* p, SplitComplex<T, L> x,
-               std::index_sequence<I...> lanes) {
-  const auto halves = interleave(x, lanes);
-  T* q = reinterpret_cast<T*>(p);
-  std::memcpy(q, &halves[0], sizeof halves[0]);
-  std::memcpy(q + L, &halves[1], sizeof halves[1]);
-}
-
 /// Lane l holds p[at[l]].
 template <typename T, std::size_t L>
 SplitComplex<T, L> gather(const std::complex<T>* p,
@@ -111,111 +103,14 @@ SplitComplex<T, L> gather(const std::complex<T>* p,
   return x;
 }
 
-/// Lane l of x goes to p[at[l]].
-template <typename T, std::size_t L>
-void scatter(std::complex<T>* p, const std::size_t (&at)[L],
-             SplitComplex<T, L> x) {
-  for (std::size_t l = 0; l < L; ++l) p[at[l]] = {x.re[l], x.im[l]};
-}
-
-/// The hardcoded R-point core, R in {2, 4, 8}, on any complex type.
-template <unsigned R, typename C>
-void dft_fixed(C (&v)[R], bool inverse) {
-  if constexpr (R == 2) {
-    dft2(v);
-  } else if constexpr (R == 4) {
-    dft4(v, inverse);
-  } else {
-    static_assert(R == 8);
-    dft8(v, inverse);
-  }
-}
-
-/// Radix-R stage geometry. Butterfly (base, j), for each block start `base`
-/// and j < sub, reads x[base + j + t*sub] for t < R, runs the R-point core,
-/// multiplies output i (1 <= i < R) by W[i*j*tw_stride] and writes back in
-/// place. i*j < block, so the table index needs no reduction.
-template <unsigned R, typename T>
-struct LaneStage {
-  std::complex<T>* x;
-  std::size_t block;
-  std::size_t sub;
-  const std::complex<T>* tw;
-  std::size_t tw_stride;
-  bool inverse;
-
-  /// Core and twiddles for the L butterflies whose twiddle columns are
-  /// j[0..L): the scalar butterfly's operations, in its order, per lane.
-  template <std::size_t L>
-  void butterflies(SplitComplex<T, L> (&v)[R],
-                   const std::size_t (&j)[L]) const {
-    dft_fixed(v, inverse);
-    for (unsigned i = 1; i < R; ++i) {
-      std::size_t at[L] = {};
-      for (std::size_t l = 0; l < L; ++l) at[l] = i * j[l] * tw_stride;
-      v[i] = cmul(v[i], gather(tw, at));
-    }
-  }
-
-  /// L butterflies at consecutive j of one block: contiguous lane loads.
-  void run_consecutive(std::size_t base, std::size_t j0) const {
-    constexpr std::size_t L = kLanes<T>;
-    constexpr auto lanes = std::make_index_sequence<L>{};
-    std::complex<T>* const p = x + base + j0;
-    SplitComplex<T, L> v[R] = {};
-    for (unsigned t = 0; t < R; ++t) v[t] = load_run<T, L>(p + t * sub, lanes);
-    std::size_t j[L] = {};
-    for (std::size_t l = 0; l < L; ++l) j[l] = j0 + l;
-    butterflies(v, j);
-    for (unsigned t = 0; t < R; ++t) store_run(p + t * sub, v[t], lanes);
-  }
-
-  /// The next L butterflies in (base, j) order, which may span blocks. The
-  /// cursor steps per lane and wraps at sub instead of dividing.
-  template <std::size_t L>
-  void run_spanning(std::size_t& base, std::size_t& j_next) const {
-    std::size_t at[L] = {};
-    std::size_t j[L] = {};
-    for (std::size_t l = 0; l < L; ++l) {
-      at[l] = base + j_next;
-      j[l] = j_next;
-      if (++j_next == sub) {
-        j_next = 0;
-        base += block;
-      }
-    }
-    SplitComplex<T, L> v[R] = {};
-    for (unsigned t = 0; t < R; ++t) v[t] = gather(x + t * sub, at);
-    butterflies(v, j);
-    for (unsigned t = 0; t < R; ++t) scatter(x + t * sub, at, v[t]);
-  }
-
-  /// All n/R butterflies of the stage, kLanes<T> per step. When sub is a
-  /// multiple of the lane count the lanes are consecutive j; otherwise
-  /// (e.g. the last stage, sub = 1) they span blocks, and a remainder of
-  /// fewer than kLanes<T> butterflies runs one lane per step.
-  void run(std::size_t n) const {
-    constexpr std::size_t L = kLanes<T>;
-    if (sub % L == 0) {
-      for (std::size_t base = 0; base < n; base += block) {
-        for (std::size_t j = 0; j < sub; j += L) run_consecutive(base, j);
-      }
-      return;
-    }
-    std::size_t base = 0;
-    std::size_t j = 0;
-    std::size_t left = n / R;
-    for (; left >= L; left -= L) run_spanning<L>(base, j);
-    for (; left > 0; --left) run_spanning<1>(base, j);
-  }
-};
-
 // ---------------------------------------------------------------------------
-// Rows in lanes: the kernel of execute_scatter_tile. A lane group is
-// kLanes<T> rows of one tile in split re/im planes: plane element m is one
-// SplitComplex whose lane l is row l's value m. Every butterfly then has
-// the same (base, j) in all lanes, so its inputs are contiguous plane loads
-// and its twiddle is one broadcast value.
+// Rows in lanes: the one stage kernel. A lane group is kLanes<T> rows, each
+// an independent transform of the same length, in split re/im planes:
+// plane element m is one SplitComplex whose lane l is row l's value m.
+// Every butterfly then has the same (base, j) in all lanes, so its inputs
+// are contiguous plane loads and its twiddle is one broadcast value. The
+// rows are a tile's rows, or the r0 sub-transforms that a single row's
+// first stage (radix r0) leaves.
 // ---------------------------------------------------------------------------
 
 template <typename T>
@@ -304,27 +199,59 @@ void to_planes(const std::complex<T>* rows, std::size_t live, std::size_t n,
   }
 }
 
-/// One DIF stage of radix R over a lane group's planes; R == 0 runs the
-/// generic core at radix r. Each step is butterfly (base, j) of the scalar
-/// stage loop in every lane: the R inputs are R plane loads, and the
-/// twiddle W[i*j*tw_stride] is broadcast, W[0] = (1, 0) included.
+/// Calls f(std::integral_constant<unsigned, R>) with R = r for the radices
+/// with a hardcoded core (2, 4, 8), else with R = 0: the generic core.
+template <typename F>
+void with_radix(unsigned r, F&& f) {
+  switch (r) {
+    case 2:
+      f(std::integral_constant<unsigned, 2>{});
+      break;
+    case 4:
+      f(std::integral_constant<unsigned, 4>{});
+      break;
+    case 8:
+      f(std::integral_constant<unsigned, 8>{});
+      break;
+    default:
+      f(std::integral_constant<unsigned, 0>{});
+      break;
+  }
+}
+
+/// The radix-R core on v[0..R); R == 0 runs the generic core at radix r
+/// through the plan's table tw. Radix 1 (the n = 1 plan) is the identity.
 template <unsigned R, typename T>
-void plane_stage(T* plane, unsigned r, std::size_t block,
-                 const TwiddleTable<T>& tw, std::size_t n, bool inverse) {
+void core(Lanes<T>* v, unsigned r, const TwiddleTable<T>& tw, bool inverse) {
+  if constexpr (R == 2) {
+    dft2(v);
+  } else if constexpr (R == 4) {
+    dft4(v, inverse);
+  } else if constexpr (R == 8) {
+    dft8(v, inverse);
+  } else {
+    if (r > 1) dft_generic(v, r, tw, tw.size());
+  }
+}
+
+/// One DIF stage of radix R (R == 0: generic at radix r) over a lane
+/// group's `len` plane elements, in blocks of `block` elements, for the
+/// plan of n = tw.size() points. Each step is butterfly (base, j) of the
+/// scalar stage loop in every lane: the R inputs are R plane loads, and the
+/// twiddle W[i*j*(n/block)] is broadcast, W[0] = (1, 0) included.
+template <unsigned R, typename T>
+void plane_stage(T* plane, std::size_t len, unsigned r, std::size_t block,
+                 const TwiddleTable<T>& tw, bool inverse) {
   constexpr std::size_t S = kPlaneStride<T>;
   const unsigned radix = R == 0 ? r : R;
   const std::size_t sub = block / radix;
-  const std::size_t tw_stride = n / block;
+  const std::size_t tw_stride = tw.size() / block;
   Lanes<T> v[R == 0 ? kMaxRadix : R] = {};
-  for (std::size_t base = 0; base < n; base += block) {
+  for (std::size_t base = 0; base < len; base += block) {
     for (std::size_t j = 0; j < sub; ++j) {
       T* const p = plane + (base + j) * S;
       for (unsigned t = 0; t < radix; ++t) v[t] = load_lanes(p + t * sub * S);
-      if constexpr (R == 0) {
-        dft_generic(v, radix, tw, n);
-      } else {
-        dft_fixed(v, inverse);
-      }
+      core<R>(v, radix, tw, inverse);
       for (unsigned i = 1; i < radix; ++i) {
         v[i] = cmul(v[i], tw[i * j * tw_stride]);
       }
@@ -333,29 +260,72 @@ void plane_stage(T* plane, unsigned r, std::size_t block,
   }
 }
 
-/// Every stage of an n-point plan with the given radices over one lane
-/// group's planes, in place; output in digit-reversed order.
+/// The stages `radices` of an n-point plan (n = tw.size()) over one lane
+/// group's `len` plane elements, len being their product, in place; output
+/// in digit-reversed order. A tile row runs every stage (len = n), the
+/// sub-transforms of a single row all but the first (len = n / r0).
 template <typename T>
-void plane_stages(T* plane, const std::vector<unsigned>& radices,
-                  const TwiddleTable<T>& tw, std::size_t n, bool inverse) {
-  if (n == 1) return;
-  std::size_t block = n;
+void plane_stages(T* plane, std::span<const unsigned> radices, std::size_t len,
+                  const TwiddleTable<T>& tw, bool inverse) {
+  std::size_t block = len;
   for (const unsigned r : radices) {
-    switch (r) {
-      case 2:
-        plane_stage<2>(plane, r, block, tw, n, inverse);
-        break;
-      case 4:
-        plane_stage<4>(plane, r, block, tw, n, inverse);
-        break;
-      case 8:
-        plane_stage<8>(plane, r, block, tw, n, inverse);
-        break;
-      default:
-        plane_stage<0>(plane, r, block, tw, n, inverse);
-        break;
-    }
+    with_radix(r, [&](auto R) {
+      plane_stage<decltype(R)::value>(plane, len, r, block, tw, inverse);
+    });
     block /= r;
+  }
+}
+
+/// The first stage, radix R (R == 0: generic at radix r), of the n-point row
+/// x (n = tw.size()), kLanes<T> consecutive butterflies j per step; the last
+/// step may be partial, its idle lanes zero. Output t of butterfly j becomes
+/// element j of sub-transform row t: lane t % L of plane element j in lane
+/// group t / L, one group being m = n/r elements. Rows from r up to a whole
+/// group hold zeros, run the later stages and are never stored.
+template <unsigned R, typename T>
+void first_stage(const std::complex<T>* x, unsigned r,
+                 const TwiddleTable<T>& tw, bool inverse, T* planes) {
+  constexpr std::size_t L = kLanes<T>;
+  constexpr std::size_t S = kPlaneStride<T>;
+  constexpr auto lanes = std::make_index_sequence<L>{};
+  const unsigned radix = R == 0 ? r : R;
+  const std::size_t m = tw.size() / radix;
+  Lanes<T> v[((R == 0 ? kMaxRadix : R) + L - 1) / L * L] = {};
+  for (std::size_t j0 = 0; j0 < m; j0 += L) {
+    const std::size_t live = std::min(L, m - j0);
+    for (unsigned t = 0; t < radix; ++t) {
+      const std::complex<T>* const p = x + t * m + j0;
+      if (live == L) {
+        v[t] = load_run<T, L>(p, lanes);
+        continue;
+      }
+      v[t] = Lanes<T>{};
+      for (std::size_t l = 0; l < live; ++l) {
+        v[t].re[l] = p[l].real();
+        v[t].im[l] = p[l].imag();
+      }
+    }
+    core<R>(v, radix, tw, inverse);
+    for (unsigned i = 1; i < radix; ++i) {
+      std::size_t at[L] = {};  // idle lanes read W[0]
+      for (std::size_t l = 0; l < live; ++l) at[l] = i * (j0 + l);
+      v[i] = cmul(v[i], gather(tw.data(), at));
+    }
+    // Lanes are butterflies here and rows in the planes: L x L transposes.
+    for (std::size_t g = 0; g * L < radix; ++g) {
+      typename Lanes<T>::V re[L] = {};
+      typename Lanes<T>::V im[L] = {};
+      for (std::size_t i = 0; i < L; ++i) {
+        re[i] = v[g * L + i].re;
+        im[i] = v[g * L + i].im;
+      }
+      transpose(re);
+      transpose(im);
+      T* const plane = planes + (g * m + j0) * S;
+      for (std::size_t l = 0; l < live; ++l) {
+        store_lanes(plane + l * S, Lanes<T>{re[l], im[l]});
+      }
+    }
   }
 }
 
@@ -398,33 +368,35 @@ std::size_t l2_bytes() {
   return bytes;
 }
 
-/// Writes frequency k of row b, for the `live` rows held in consecutive
-/// lane groups of n elements from `planes`, to y0[k*stride + b], scaled by
-/// s when `scale`.
-/// A full lane group is two 16-byte stores; with Stream the `live` rows
-/// are a whole aligned line per k, streamed past the cache.
+/// Writes frequency k < len of row b, for the `live` rows held in
+/// consecutive lane groups of `len` elements from `planes`, to
+/// y0[k*stride + b*pitch], scaled by s when `scale`. Frequency k of a row
+/// sits at its digit-reversed position perm[k*perm_step].
+/// At pitch 1 a full lane group is two 16-byte stores; with Stream the
+/// `live` rows are a whole aligned line per k, streamed past the cache.
 template <bool Stream, typename T>
-void from_planes(const T* planes, std::size_t n, std::size_t live,
-                 const std::uint32_t* perm, std::complex<T>* y0,
-                 std::size_t stride, bool scale, T s) {
+void from_planes(const T* planes, std::size_t len, std::size_t live,
+                 const std::uint32_t* perm, std::size_t perm_step,
+                 std::complex<T>* y0, std::size_t stride, std::size_t pitch,
+                 bool scale, T s) {
   constexpr std::size_t L = kLanes<T>;
   constexpr std::size_t S = kPlaneStride<T>;
   constexpr auto lanes = std::make_index_sequence<L>{};
-  for (std::size_t k = 0; k < n; ++k) {
+  for (std::size_t k = 0; k < len; ++k) {
     std::complex<T>* const y = y0 + k * stride;
-    const T* const x0 = planes + perm[k] * S;
+    const T* const x0 = planes + perm[k * perm_step] * S;
     for (std::size_t b = 0; b < live; b += L) {
-      Lanes<T> x = load_lanes(x0 + b / L * n * S);
+      Lanes<T> x = load_lanes(x0 + b / L * len * S);
       // Lane-wise complex * real: (re*s, im*s), as std::complex does it.
       if (scale) x = {x.re * s, x.im * s};
-      if (live - b >= L) {
+      if (pitch == 1 && live - b >= L) {
         const auto halves = interleave(x, lanes);
         T* const q = reinterpret_cast<T*>(y + b);
         store16<Stream>(q, &halves[0]);
         store16<Stream>(q + L, &halves[1]);
       } else {
-        for (std::size_t l = 0; b + l < live; ++l) {
-          y[b + l] = {x.re[l], x.im[l]};
+        for (std::size_t l = 0; l < L && b + l < live; ++l) {
+          y[(b + l) * pitch] = {x.re[l], x.im[l]};
         }
       }
     }
@@ -441,6 +413,20 @@ std::size_t checked_plan_size(std::size_t n) {
                                  << " exceeds the uint32_t output "
                                     "permutation limit of 2^32 - 1");
   return n;
+}
+
+/// The Plan1D scratch rule: the planes are `scratch`, of length >= len, or
+/// when it is empty `own`, resized to len for this call.
+template <typename T>
+T* planes_in(std::span<std::complex<T>> scratch, std::size_t len,
+             xutil::AlignedVector<std::complex<T>>& own) {
+  XU_CHECK_MSG(scratch.empty() || scratch.size() >= len,
+               "scratch length " << scratch.size() << " < " << len);
+  if (scratch.empty()) {
+    own.resize(len);
+    return reinterpret_cast<T*>(own.data());
+  }
+  return reinterpret_cast<T*>(scratch.data());
 }
 
 }  // namespace
@@ -463,85 +449,55 @@ Plan1D<T>::Plan1D(std::size_t n, Direction dir, PlanOptions opt)
 }
 
 template <typename T>
-void Plan1D<T>::run_stages(std::span<std::complex<T>> data,
-                           const xutil::CancelToken* cancel) const {
-  XU_CHECK_MSG(data.size() == n_, "buffer length " << data.size()
-                                                   << " != plan size " << n_);
-  if (n_ == 1) return;
-  const bool inverse = dir_ == Direction::kInverse;
-  std::complex<T> v[kMaxRadix];
-  std::size_t block = n_;
-  for (const unsigned r : radices_) {
-    // Stage-granularity cancellation: a deadline aborts between butterfly
-    // passes (each O(n)), leaving the buffer in a partial state the caller
-    // has agreed to discard.
-    if (cancel != nullptr && cancel->expired()) return;
-    const std::size_t sub = block / r;
-    const std::size_t tw_stride = n_ / block;
-    if (r == 2 || r == 4 || r == 8) {
-      // Every stage of a power-of-two size: kLanes<T> butterflies per step,
-      // each with the arithmetic of the loop below, in its order.
-      std::complex<T>* const x = data.data();
-      const std::complex<T>* const tw = tw_.data();
-      if (r == 2) {
-        LaneStage<2, T>{x, block, sub, tw, tw_stride, inverse}.run(n_);
-      } else if (r == 4) {
-        LaneStage<4, T>{x, block, sub, tw, tw_stride, inverse}.run(n_);
-      } else {
-        LaneStage<8, T>{x, block, sub, tw, tw_stride, inverse}.run(n_);
-      }
-      block = sub;
-      continue;
-    }
-    for (std::size_t base = 0; base < n_; base += block) {
-      for (std::size_t j = 0; j < sub; ++j) {
-        std::complex<T>* p = data.data() + base + j;
-        for (unsigned t = 0; t < r; ++t) v[t] = p[t * sub];
-        small_dft(v, r, inverse, tw_, n_);
-        // Twiddle: X_i *= w_block^{-i*j}; i = 0 is unity and skipped.
-        for (unsigned i = 1; i < r; ++i) {
-          v[i] = cmul(v[i], tw_[static_cast<std::size_t>(i) * j * tw_stride]);
-        }
-        for (unsigned t = 0; t < r; ++t) p[t * sub] = v[t];
-      }
-    }
-    block = sub;
-  }
+std::size_t Plan1D<T>::scratch_size() const {
+  constexpr std::size_t L = kLanes<T>;
+  const std::size_t r0 = radices_[0];
+  return (r0 + L - 1) / L * L * (n_ / r0);
 }
 
 template <typename T>
-void Plan1D<T>::apply_scaling(std::span<std::complex<T>> data) const {
-  if (dir_ == Direction::kInverse && opt_.scaling == Scaling::kUnitary1OverN) {
-    const T s = T(1) / static_cast<T>(n_);
-    for (auto& x : data) x *= s;
+void Plan1D<T>::transform_row(const std::complex<T>* x, std::complex<T>* y,
+                              std::size_t stride,
+                              std::span<std::complex<T>> scratch,
+                              const xutil::CancelToken* cancel) const {
+  xutil::AlignedVector<std::complex<T>> own;
+  T* const planes = planes_in(scratch, scratch_size(), own);
+  // Cancellation: polled before each of the two steps that cost O(n log n);
+  // on expiry y is left as it was.
+  if (cancel != nullptr && cancel->expired()) return;
+  const bool inverse = dir_ == Direction::kInverse;
+  const unsigned r0 = radices_[0];
+  const std::size_t m = n_ / r0;
+  with_radix(r0, [&](auto R) {
+    first_stage<decltype(R)::value>(x, r0, tw_, inverse, planes);
+  });
+  if (cancel != nullptr && cancel->expired()) return;
+  const auto rest = std::span<const unsigned>(radices_).subspan(1);
+  for (std::size_t g = 0; g * kLanes<T> < r0; ++g) {
+    plane_stages(planes + g * m * kPlaneStride<T>, rest, m, tw_, inverse);
   }
+  // X[b + r0*k] is frequency k of sub-transform b, held at element
+  // perm_[r0*k] of row b, since perm_[b + r0*k] = b*m + perm_[r0*k].
+  const bool scale = inverse && opt_.scaling == Scaling::kUnitary1OverN;
+  const T s = scale ? T(1) / static_cast<T>(n_) : T(1);
+  from_planes<false>(planes, m, r0, perm_.data(), r0, y, r0 * stride, stride,
+                     scale, s);
 }
 
 template <typename T>
 void Plan1D<T>::execute(std::span<std::complex<T>> data,
                         std::span<std::complex<T>> scratch,
                         const xutil::CancelToken* cancel) const {
-  XU_CHECK_MSG(n_ <= 1 || scratch.empty() || scratch.size() >= n_,
-               "scratch length " << scratch.size() << " < plan size " << n_);
-  run_stages(data, cancel);
-  if (cancel != nullptr && cancel->expired()) return;
-  if (n_ > 1) {
-    xutil::AlignedVector<std::complex<T>> own;
-    if (scratch.empty()) {
-      own.resize(n_);
-      scratch = std::span<std::complex<T>>(own.data(), n_);
-    }
-    for (std::size_t k = 0; k < n_; ++k) scratch[k] = data[perm_[k]];
-    std::copy(scratch.begin(), scratch.begin() + static_cast<std::ptrdiff_t>(n_),
-              data.begin());
-  }
-  apply_scaling(data);
+  XU_CHECK_MSG(data.size() == n_, "buffer length " << data.size()
+                                                   << " != plan size " << n_);
+  transform_row(data.data(), data.data(), 1, scratch, cancel);
 }
 
 template <typename T>
 void Plan1D<T>::execute_digit_reversed(std::span<std::complex<T>> data) const {
-  run_stages(data);
-  apply_scaling(data);
+  xutil::AlignedVector<std::complex<T>> x(data.begin(), data.end());
+  execute(std::span<std::complex<T>>(x));
+  for (std::size_t k = 0; k < n_; ++k) data[perm_[k]] = x[k];
 }
 
 template <typename T>
@@ -559,15 +515,9 @@ void Plan1D<T>::execute_scatter_tile(std::span<const std::complex<T>> tile,
   XU_CHECK_MSG(offset + (rows - 1) + (n_ - 1) * stride < out.size(),
                "scatter range exceeds destination buffer");
   // Planes for at most one tile of rows, rounded up to whole lane groups.
-  const std::size_t planes_len = n_ * std::min(B, (rows + L - 1) / L * L);
-  XU_CHECK_MSG(scratch.empty() || scratch.size() >= planes_len,
-               "scratch length " << scratch.size() << " < " << planes_len);
   xutil::AlignedVector<std::complex<T>> own;
-  if (scratch.empty()) {
-    own.resize(planes_len);
-    scratch = std::span<std::complex<T>>(own.data(), planes_len);
-  }
-  T* const planes = reinterpret_cast<T*>(scratch.data());
+  T* const planes =
+      planes_in(scratch, n_ * std::min(B, (rows + L - 1) / L * L), own);
   const bool inverse = dir_ == Direction::kInverse;
   const bool scale = inverse && opt_.scaling == Scaling::kUnitary1OverN;
   const T s = scale ? T(1) / static_cast<T>(n_) : T(1);
@@ -580,14 +530,17 @@ void Plan1D<T>::execute_scatter_tile(std::span<const std::complex<T>> tile,
     for (std::size_t b = 0; b < live; b += L) {
       T* const plane = planes + b / L * n_ * kPlaneStride<T>;
       to_planes(tile.data() + (b0 + b) * n_, std::min(L, live - b), n_, plane);
-      plane_stages(plane, radices_, tw_, n_, inverse);
+      plane_stages(plane, std::span<const unsigned>(radices_), n_, tw_,
+                   inverse);
     }
     std::complex<T>* const y0 = out.data() + offset + b0;
     if (big && live == B &&
         reinterpret_cast<std::uintptr_t>(y0) % kLineBytes == 0) {
-      from_planes<true>(planes, n_, live, perm_.data(), y0, stride, scale, s);
+      from_planes<true>(planes, n_, live, perm_.data(), 1, y0, stride, 1,
+                        scale, s);
     } else {
-      from_planes<false>(planes, n_, live, perm_.data(), y0, stride, scale, s);
+      from_planes<false>(planes, n_, live, perm_.data(), 1, y0, stride, 1,
+                         scale, s);
     }
   }
 }
@@ -599,7 +552,9 @@ void Plan1D<T>::execute_scatter_affine(std::span<const std::complex<T>> row,
                                        std::size_t stride) const {
   XU_CHECK_MSG(row.size() == n_, "buffer length " << row.size()
                                                   << " != plan size " << n_);
-  execute_scatter_tile(row, out, offset, stride);
+  XU_CHECK_MSG(offset + (n_ - 1) * stride < out.size(),
+               "scatter range exceeds destination buffer");
+  transform_row(row.data(), out.data() + offset, stride, {}, nullptr);
 }
 
 template class Plan1D<float>;

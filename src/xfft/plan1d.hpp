@@ -51,21 +51,25 @@ class Plan1D {
 
   /// Transforms `data` (length n) in place; output in natural order.
   ///
-  /// The digit-reversal reorder goes through `scratch` (length >= n). An
-  /// empty `scratch` means a buffer that lives only for this call; callers
-  /// that run one plan over many rows pass one buffer for all of them.
+  /// The first stage, of radix r0 = radices()[0], reads `data` into split
+  /// re/im lane planes in `scratch`, as r0 sub-transforms of length n/r0;
+  /// the rest runs there as it does for the rows of a tile
+  /// (docs/architecture.md §3). `scratch` needs length >= scratch_size().
+  /// An empty `scratch` means a buffer that lives only for this call;
+  /// callers that run one plan over many rows pass one buffer for all of
+  /// them.
   ///
-  /// A non-null `cancel` token is polled between butterfly stages; once it
-  /// expires the remaining stages and the reorder are skipped and `data` is
-  /// left unspecified. Callers that pass a token must check it after the
-  /// call and discard the buffer on expiry (the xserve deadline path).
+  /// A non-null `cancel` token is polled before the first stage and again
+  /// before the remaining stages; once it has expired the call returns
+  /// without writing `data`. Callers that pass a token must check it after
+  /// the call and discard the buffer on expiry (the xserve deadline path).
   void execute(std::span<std::complex<T>> data,
                std::span<std::complex<T>> scratch = {},
                const xutil::CancelToken* cancel = nullptr) const;
 
-  /// Runs only the butterfly stages; output left in digit-reversed order.
-  /// Callers composing their own reorder (e.g. the fused-rotation 3-D path)
-  /// use output_perm() to locate frequency k at position output_perm()[k].
+  /// execute(), then frequency k moved to position output_perm()[k]: the
+  /// digit-reversed order the butterfly stages leave. Pure data movement,
+  /// so the values carry execute()'s bits.
   void execute_digit_reversed(std::span<std::complex<T>> data) const;
 
   /// Transforms each of the `tile.size() / n` consecutive rows of `tile`
@@ -85,7 +89,9 @@ class Plan1D {
                             std::size_t offset, std::size_t stride,
                             std::span<std::complex<T>> scratch = {}) const;
 
-  /// One-row case of execute_scatter_tile: out[offset + k*stride] = X[k].
+  /// One row: out[offset + k*stride] = X[k], the bytes execute() and
+  /// execute_scatter_tile() give. Runs execute()'s single-row path, so the
+  /// row fills every lane; `row` is only read.
   void execute_scatter_affine(std::span<const std::complex<T>> row,
                               std::span<std::complex<T>> out,
                               std::size_t offset, std::size_t stride) const;
@@ -95,6 +101,11 @@ class Plan1D {
   [[nodiscard]] const std::vector<unsigned>& radices() const {
     return radices_;
   }
+  /// Scratch length execute() needs: the planes of the ceil(r0/kLanes<T>)
+  /// lane groups, n/r0 elements each, that hold the first stage's r0
+  /// outputs. That is n whenever kLanes<T> divides r0, as it does for
+  /// every n divisible by 8.
+  [[nodiscard]] std::size_t scratch_size() const;
   /// perm[k] = position of frequency k in the digit-reversed stage output.
   [[nodiscard]] const std::vector<std::uint32_t>& output_perm() const {
     return perm_;
@@ -104,9 +115,10 @@ class Plan1D {
   [[nodiscard]] std::uint64_t actual_flops() const { return flops_; }
 
  private:
-  void run_stages(std::span<std::complex<T>> data,
-                  const xutil::CancelToken* cancel = nullptr) const;
-  void apply_scaling(std::span<std::complex<T>> data) const;
+  /// execute() with input x and frequency k written to y[k*stride].
+  void transform_row(const std::complex<T>* x, std::complex<T>* y,
+                     std::size_t stride, std::span<std::complex<T>> scratch,
+                     const xutil::CancelToken* cancel) const;
 
   std::size_t n_;
   Direction dir_;

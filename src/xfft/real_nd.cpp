@@ -28,7 +28,7 @@ void rfftnd_forward(std::span<const float> in, std::span<Cf> out,
     Plan1D<float> plan(dims.ny, Direction::kForward,
                        PlanOptions{.scaling = Scaling::kNone});
     std::vector<Cf> line(dims.ny);
-    std::vector<Cf> scratch(dims.ny);
+    std::vector<Cf> scratch(plan.scratch_size());
     for (std::size_t z = 0; z < dims.nz; ++z) {
       for (std::size_t k = 0; k < bx; ++k) {
         Cf* p = out.data() + z * dims.ny * bx + k;
@@ -43,7 +43,7 @@ void rfftnd_forward(std::span<const float> in, std::span<Cf> out,
     Plan1D<float> plan(dims.nz, Direction::kForward,
                        PlanOptions{.scaling = Scaling::kNone});
     std::vector<Cf> line(dims.nz);
-    std::vector<Cf> scratch(dims.nz);
+    std::vector<Cf> scratch(plan.scratch_size());
     const std::size_t plane = bx * dims.ny;
     for (std::size_t yk = 0; yk < plane; ++yk) {
       Cf* p = out.data() + yk;
@@ -68,7 +68,7 @@ void rfftnd_inverse(std::span<const Cf> in, std::span<float> out,
     Plan1D<float> plan(dims.nz, Direction::kInverse,
                        PlanOptions{.scaling = Scaling::kUnitary1OverN});
     std::vector<Cf> line(dims.nz);
-    std::vector<Cf> scratch(dims.nz);
+    std::vector<Cf> scratch(plan.scratch_size());
     const std::size_t plane = bx * dims.ny;
     for (std::size_t yk = 0; yk < plane; ++yk) {
       Cf* p = work.data() + yk;
@@ -82,7 +82,7 @@ void rfftnd_inverse(std::span<const Cf> in, std::span<float> out,
     Plan1D<float> plan(dims.ny, Direction::kInverse,
                        PlanOptions{.scaling = Scaling::kUnitary1OverN});
     std::vector<Cf> line(dims.ny);
-    std::vector<Cf> scratch(dims.ny);
+    std::vector<Cf> scratch(plan.scratch_size());
     for (std::size_t z = 0; z < dims.nz; ++z) {
       for (std::size_t k = 0; k < bx; ++k) {
         Cf* p = work.data() + z * dims.ny * bx + k;
