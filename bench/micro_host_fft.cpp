@@ -2,6 +2,7 @@
 // engines, multi-dimensional transforms, and real-input transforms.
 #include <benchmark/benchmark.h>
 
+#include <string>
 #include <vector>
 
 #include "xfft/engines.hpp"
@@ -21,6 +22,13 @@ std::vector<xfft::Cf> signal(std::size_t n) {
   return v;
 }
 
+/// The width Plan1D's kernels run in this process, e.g. "8 float lanes
+/// (avx2)"; it labels the Plan1D and Plan3D rows.
+std::string lane_label() {
+  const xfft::LaneWidth w = xfft::lane_width<float>();
+  return std::to_string(w.lanes) + " float lanes (" + w.isa + ")";
+}
+
 void BM_Plan1D(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto radix = static_cast<unsigned>(state.range(1));
@@ -34,6 +42,7 @@ void BM_Plan1D(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(n));
+  state.SetLabel(lane_label());
   state.counters["std_gflops"] = benchmark::Counter(
       xfft::standard_fft_flops(n) * static_cast<double>(state.iterations()) /
           1e9,
@@ -92,13 +101,14 @@ void BM_Plan3D(benchmark::State& state) {
     plan.execute(std::span<xfft::Cf>(data));
     benchmark::DoNotOptimize(data.data());
   }
+  state.SetLabel(lane_label());
   state.counters["std_gflops"] = benchmark::Counter(
       xfft::standard_fft_flops(dims.total()) *
           static_cast<double>(state.iterations()) / 1e9,
       benchmark::Counter::kIsRate);
 }
-// 32^3 and 64^3 stay within the L2 (plain stores in the fused scatter);
-// 128^3 and 256^3 do not (streamed whole-line stores).
+// 32^3 and 64^3 stay below four times the L2 (plain stores in the fused
+// scatter); 128^3 and 256^3 do not (streamed whole-line stores).
 BENCHMARK(BM_Plan3D)
     ->Args({32, 1})
     ->Args({32, 0})

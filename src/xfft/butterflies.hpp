@@ -40,8 +40,9 @@ template <typename T>
   return {a * c - b * d, a * d + b * c};
 }
 
-/// Butterflies one lane-batched step runs at once: one 16-byte vector of
-/// real parts (4 for float, 2 for double). A constant, like kTileRows.
+/// Butterflies one lane-batched step runs at once on a baseline build: one
+/// 16-byte vector of real parts (4 for float, 2 for double). Plan1D runs
+/// twice as many on a host that reports AVX2 (lane_width<T>()).
 template <typename T>
 inline constexpr std::size_t kLanes = 16 / sizeof(T);
 
@@ -53,13 +54,18 @@ inline constexpr std::size_t kLanes = 16 / sizeof(T);
 template <typename T, std::size_t L>
 struct SplitComplex {
   using value_type = T;
-  using V [[gnu::vector_size(L * sizeof(T))]] = T;
+  // 16-byte aligned at any width, and real()/imag() return references.
+  // The 32-byte (AVX2) lanes are instantiated in a baseline translation
+  // unit, plan1d.cpp: there GCC flags every 32-byte aligned by-value
+  // parameter and every vector returned by value as passed differently
+  // with and without AVX (-Wpsabi).
+  using V [[gnu::vector_size(L * sizeof(T)), gnu::aligned(16)]] = T;
 
   V re;
   V im;
 
-  [[nodiscard]] V real() const { return re; }
-  [[nodiscard]] V imag() const { return im; }
+  [[nodiscard]] const V& real() const { return re; }
+  [[nodiscard]] const V& imag() const { return im; }
 
   friend SplitComplex operator+(SplitComplex x, SplitComplex y) {
     return {x.re + y.re, x.im + y.im};

@@ -71,6 +71,10 @@ void rotate_axes(std::span<const std::complex<T>> src,
 
 template <typename T>
 PlanND<T>::PlanND(Dims3 dims, Direction dir, Options opt)
+    : PlanND(dims, dir, opt, lane_width<T>().lanes) {}
+
+template <typename T>
+PlanND<T>::PlanND(Dims3 dims, Direction dir, Options opt, std::size_t lanes)
     : dims_(dims), dir_(dir), opt_(opt) {
   XU_CHECK_MSG(dims.nx >= 1 && dims.ny >= 1 && dims.nz >= 1,
                "all dimensions must be >= 1");
@@ -84,9 +88,10 @@ PlanND<T>::PlanND(Dims3 dims, Direction dir, Options opt)
       }
     }
     if (found < 0) {
-      plans_.push_back(std::make_unique<Plan1D<T>>(
+      plans_.push_back(std::unique_ptr<Plan1D<T>>(new Plan1D<T>(
           lens[axis], dir,
-          PlanOptions{.max_radix = opt_.max_radix, .scaling = Scaling::kNone}));
+          PlanOptions{.max_radix = opt_.max_radix, .scaling = Scaling::kNone},
+          lanes)));
       found = static_cast<int>(plans_.size()) - 1;
     }
     plan_of_axis_[static_cast<std::size_t>(axis)] = found;

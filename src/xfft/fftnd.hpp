@@ -99,6 +99,11 @@ class PlanND {
   [[nodiscard]] const Plan1D<T>& axis_plan(int axis) const;
 
  private:
+  friend struct detail::NarrowLanes;
+
+  /// The plan with axis plans at `lanes` lanes (see Plan1D::lanes()).
+  PlanND(Dims3 dims, Direction dir, Options opt, std::size_t lanes);
+
   /// dst[i] = src[i], times 1/N on a unitary inverse, chunked on the pool.
   /// src may be dst (scaling in place); then without scaling it is a no-op.
   void copy_scaled(std::span<const std::complex<T>> src,

@@ -29,6 +29,28 @@ template <typename T>
 inline constexpr std::size_t kTileRows =
     xutil::kDefaultAlignment / sizeof(std::complex<T>);
 
+/// The vector width of Plan1D's lane kernels in this process, fixed at the
+/// first query: 32-byte vectors ("avx2") on an x86 CPU that reports AVX2,
+/// else the baseline build's 16-byte vectors ("baseline"). Both widths give
+/// the same bytes (docs/architecture.md §3).
+struct LaneWidth {
+  std::size_t lanes;  ///< values of T per vector: rows per lane group
+  const char* isa;    ///< "avx2" or "baseline"
+};
+
+template <typename T>
+[[nodiscard]] LaneWidth lane_width();
+
+extern template LaneWidth lane_width<float>();
+extern template LaneWidth lane_width<double>();
+
+namespace detail {
+struct NarrowLanes;
+}  // namespace detail
+
+template <typename T>
+class PlanND;
+
 /// Tuning options for Plan1D.
 struct PlanOptions {
   /// Largest radix the planner may pick (2, 4 or 8 for power-of-two sizes).
@@ -101,11 +123,14 @@ class Plan1D {
   [[nodiscard]] const std::vector<unsigned>& radices() const {
     return radices_;
   }
-  /// Scratch length execute() needs: the planes of the ceil(r0/kLanes<T>)
-  /// lane groups, n/r0 elements each, that hold the first stage's r0
-  /// outputs. That is n whenever kLanes<T> divides r0, as it does for
-  /// every n divisible by 8.
+  /// Scratch length execute() needs: the planes of the ceil(r0/L) lane
+  /// groups of L = lanes() rows, n/r0 elements each, that hold the first
+  /// stage's r0 outputs. That is n whenever L divides r0, as it does at
+  /// either width for every n divisible by 8 under the default max_radix.
   [[nodiscard]] std::size_t scratch_size() const;
+  /// Rows per lane group this plan's kernels run: lane_width<T>().lanes,
+  /// fixed at construction.
+  [[nodiscard]] std::size_t lanes() const { return lanes_; }
   /// perm[k] = position of frequency k in the digit-reversed stage output.
   [[nodiscard]] const std::vector<std::uint32_t>& output_perm() const {
     return perm_;
@@ -115,6 +140,12 @@ class Plan1D {
   [[nodiscard]] std::uint64_t actual_flops() const { return flops_; }
 
  private:
+  friend struct detail::NarrowLanes;
+  friend class PlanND<T>;
+
+  /// The plan at `lanes` lanes: lane_width<T>().lanes or kLanes<T>.
+  Plan1D(std::size_t n, Direction dir, PlanOptions opt, std::size_t lanes);
+
   /// execute() with input x and frequency k written to y[k*stride].
   void transform_row(const std::complex<T>* x, std::complex<T>* y,
                      std::size_t stride, std::span<std::complex<T>> scratch,
@@ -123,9 +154,13 @@ class Plan1D {
   std::size_t n_;
   Direction dir_;
   PlanOptions opt_;
+  std::size_t lanes_;
   std::vector<unsigned> radices_;
   TwiddleTable<T> tw_;
   std::vector<std::uint32_t> perm_;
+  /// The first stage's twiddles in lane order (plan1d.cpp,
+  /// first_stage_twiddles).
+  xutil::AlignedVector<T> first_tw_;
   std::uint64_t flops_ = 0;
 };
 

@@ -6,6 +6,7 @@
 #include <cstring>
 
 #include "test_helpers.hpp"
+#include "xfft/detail/narrow_lanes.hpp"
 #include "xfft/dft_reference.hpp"
 #include "xfft/fftnd.hpp"
 #include "xpar/pool.hpp"
@@ -163,19 +164,30 @@ std::vector<Cf> per_row_fused_reference(std::vector<Cf> a, Dims3 dims) {
 
 TEST_P(PlanNDSweep, BytesMatchPerRowReferenceAtPoolSizes1_2_4) {
   // Both modes reproduce the one-row-at-a-time fused transform byte for
-  // byte whatever the pool size, so tiling never changes an answer (and
-  // fused equals separate exactly).
+  // byte whatever the pool size, on the serial rung and at either lane
+  // width, so tiling never changes an answer (and fused equals separate
+  // exactly). The reference runs at the host's width.
   const auto [dims, mode] = GetParam();
   const auto input = random_signal(dims.total(), dims.total() + 3);
   const auto want = per_row_fused_reference(input, dims);
-  const PlanND<float> plan(dims, Direction::kForward,
-                           PlanND<float>::Options{.rotation = mode});
-  for (const unsigned threads : {1u, 2u, 4u}) {
-    xpar::ThreadPool::set_global_threads(threads);
+  const PlanND<float>::Options opt{.rotation = mode};
+  const PlanND<float> host(dims, Direction::kForward, opt);
+  const auto narrow = xfft::detail::NarrowLanes::plan_nd<float>(
+      dims, Direction::kForward, opt);
+  const PlanND<float>* const plans[] = {&host, narrow.get()};
+  for (const PlanND<float>* plan : plans) {
+    const std::size_t lanes = plan->axis_plan(0).lanes();
+    for (const unsigned threads : {1u, 2u, 4u}) {
+      xpar::ThreadPool::set_global_threads(threads);
+      auto x = input;
+      plan->execute(std::span<Cf>(x));
+      EXPECT_EQ(std::memcmp(x.data(), want.data(), x.size() * sizeof(Cf)), 0)
+          << threads << " threads, " << lanes << " lanes";
+    }
     auto x = input;
-    plan.execute(std::span<Cf>(x));
+    plan->execute(std::span<Cf>(x), xfft::ExecOptions{.serial = true});
     EXPECT_EQ(std::memcmp(x.data(), want.data(), x.size() * sizeof(Cf)), 0)
-        << threads << " threads";
+        << "serial rung, " << lanes << " lanes";
   }
   xpar::ThreadPool::set_global_threads(0);
 }

@@ -6,6 +6,8 @@
 #include <cmath>
 #include <cstring>
 #include <numeric>
+#include <string>
+#include <vector>
 
 #if __has_include(<unistd.h>)
 #include <unistd.h>
@@ -13,6 +15,7 @@
 
 #include "test_helpers.hpp"
 #include "xfft/butterflies.hpp"
+#include "xfft/detail/narrow_lanes.hpp"
 #include "xfft/permute.hpp"
 #include "xfft/plan1d.hpp"
 #include "xutil/aligned.hpp"
@@ -213,22 +216,37 @@ std::vector<std::complex<T>> signed_zero_signal(std::size_t n,
   return x;
 }
 
+/// The plan at the width this host runs (lane_width<T>()) and the plan at
+/// the baseline 16-byte width. On a host without AVX2 both are baseline.
+template <typename T>
+std::vector<Plan1D<T>> plans_at_both_widths(std::size_t n, Direction dir,
+                                            PlanOptions opt = {}) {
+  std::vector<Plan1D<T>> plans;
+  plans.emplace_back(n, dir, opt);
+  plans.push_back(xfft::detail::NarrowLanes::plan_1d<T>(n, dir, opt));
+  return plans;
+}
+
 template <typename T>
 void expect_lanes_match_scalar_stages(std::size_t n) {
   for (const unsigned max_radix : {8u, 4u, 2u}) {
     for (const auto dir : {Direction::kForward, Direction::kInverse}) {
+      PlanOptions opt;
+      opt.max_radix = max_radix;
+      const auto plans = plans_at_both_widths<T>(n, dir, opt);
       for (const double zero_frac : {0.25, 1.0}) {
         const auto input = signed_zero_signal<T>(n, n + max_radix, zero_frac);
         const auto want = scalar_stage_fft(input, dir, max_radix);
-        auto got = input;
-        PlanOptions opt;
-        opt.max_radix = max_radix;
-        Plan1D<T>(n, dir, opt).execute(std::span<std::complex<T>>(got));
-        for (std::size_t k = 0; k < n; ++k) {
-          ASSERT_TRUE(same_bits(got[k], want[k]))
-              << "T=" << sizeof(T) << "B max_radix=" << max_radix
-              << " dir=" << static_cast<int>(dir) << " zeros=" << zero_frac
-              << " k=" << k << ": " << got[k] << " vs " << want[k];
+        for (const Plan1D<T>& plan : plans) {
+          auto got = input;
+          plan.execute(std::span<std::complex<T>>(got));
+          for (std::size_t k = 0; k < n; ++k) {
+            ASSERT_TRUE(same_bits(got[k], want[k]))
+                << "T=" << sizeof(T) << "B lanes=" << plan.lanes()
+                << " max_radix=" << max_radix
+                << " dir=" << static_cast<int>(dir) << " zeros=" << zero_frac
+                << " k=" << k << ": " << got[k] << " vs " << want[k];
+          }
         }
       }
     }
@@ -252,24 +270,25 @@ INSTANTIATE_TEST_SUITE_P(Sizes, Plan1DLanes,
 // Rows in lanes: execute_scatter_tile against the scalar stage loop.
 // ---------------------------------------------------------------------------
 
-/// A destination above any L2 size the streaming rule can read (sysconf's
-/// report, or its 2 MiB fallback), in elements.
+/// A destination above the streaming threshold whatever L2 size the rule
+/// reads (four times sysconf's report, or of its 2 MiB fallback), in
+/// elements.
 template <typename T>
-std::size_t above_l2_elems() {
+std::size_t above_stream_threshold_elems() {
   long l2 = 0;
 #if defined(_SC_LEVEL2_CACHE_SIZE)
   l2 = sysconf(_SC_LEVEL2_CACHE_SIZE);
 #endif
   const auto bytes = static_cast<std::size_t>(std::max(l2, 2L << 20));
-  return 2 * bytes / sizeof(std::complex<T>);
+  return 4 * bytes / sizeof(std::complex<T>) + xfft::kTileRows<T>;
 }
 
 /// Tiles of 1..kTileRows + 3 rows (beyond one line, a full tile then a
 /// partial one) into three destinations: line-aligned runs and a
 /// line-multiple stride in a small buffer (plain whole-line stores), an
 /// offset of one element with a stride that is no line multiple (plain
-/// stores), and line-aligned runs into a buffer above the L2 size (full
-/// tiles are streamed). Every byte of the destination must equal the
+/// stores), and line-aligned runs into a buffer above the streaming
+/// threshold (full tiles are streamed). Every byte of the destination must equal the
 /// scalar stage loop's rows placed at offset + b + k*stride, and the
 /// sentinel elsewhere.
 template <typename T>
@@ -284,7 +303,7 @@ void expect_tile_matches_scalar_stages(std::size_t n) {
     std::size_t min_len;
   };
   for (const auto dir : {Direction::kForward, Direction::kInverse}) {
-    const Plan1D<T> plan(n, dir);
+    const auto plans = plans_at_both_widths<T>(n, dir);
     for (std::size_t rows = 1; rows <= kRows + 3; ++rows) {
       const auto input = signed_zero_signal<T>(rows * n, n * 16 + rows, 0.25);
       std::vector<std::vector<C>> want_rows;
@@ -298,7 +317,7 @@ void expect_tile_matches_scalar_stages(std::size_t n) {
       for (const Dest d : {Dest{"aligned", kRows, 2 * kRows, 0},
                            Dest{"unaligned", 1, rows + 3, 0},
                            Dest{"streamed", 0, 2 * kRows,
-                                above_l2_elems<T>()}}) {
+                                above_stream_threshold_elems<T>()}}) {
         const std::size_t len =
             std::max(d.offset + rows + (n - 1) * d.stride, d.min_len);
         xutil::AlignedVector<C> want(len, sentinel);
@@ -307,13 +326,16 @@ void expect_tile_matches_scalar_stages(std::size_t n) {
             want[d.offset + b + k * d.stride] = want_rows[b][k];
           }
         }
-        xutil::AlignedVector<C> got(len, sentinel);
-        xutil::AlignedVector<C> scratch(kRows * n);
-        plan.execute_scatter_tile(input, std::span<C>(got), d.offset, d.stride,
-                                  std::span<C>(scratch));
-        ASSERT_EQ(std::memcmp(got.data(), want.data(), len * sizeof(C)), 0)
-            << "T=" << sizeof(T) << "B n=" << n << " rows=" << rows
-            << " dir=" << static_cast<int>(dir) << " dest=" << d.name;
+        for (const Plan1D<T>& plan : plans) {
+          xutil::AlignedVector<C> got(len, sentinel);
+          xutil::AlignedVector<C> scratch(kRows * n);
+          plan.execute_scatter_tile(input, std::span<C>(got), d.offset,
+                                    d.stride, std::span<C>(scratch));
+          ASSERT_EQ(std::memcmp(got.data(), want.data(), len * sizeof(C)), 0)
+              << "T=" << sizeof(T) << "B lanes=" << plan.lanes() << " n=" << n
+              << " rows=" << rows << " dir=" << static_cast<int>(dir)
+              << " dest=" << d.name;
+        }
       }
     }
   }
@@ -343,16 +365,26 @@ TEST(Plan1D, ScatterTileRejectsShortScratch) {
 }
 
 TEST(Plan1D, ExecuteRejectsShortScratch) {
-  // The planes of ceil(r0 / kLanes) lane groups: n at n = 64 (r0 = 8), but
-  // twice n for float at n = 2 (r0 = 2, one half-used group of 4 lanes).
+  // The planes of ceil(r0 / L) lane groups of L = lanes() rows, n / r0
+  // elements each: n at n = 64 (r0 = 8) at either width, but L/2 times n at
+  // n = 2 (r0 = 2, one group with 2 of its L lanes used).
   for (const std::size_t n : {64u, 2u}) {
-    const Plan1D<float> plan(n, Direction::kForward);
-    EXPECT_EQ(plan.scratch_size(), n == 64 ? n : 2 * n);
-    std::vector<Cf> data(n);
-    std::vector<Cf> scratch(plan.scratch_size() - 1);
-    EXPECT_THROW(plan.execute(std::span<Cf>(data), std::span<Cf>(scratch)),
-                 xutil::Error)
-        << "n=" << n;
+    for (const Plan1D<float>& plan :
+         plans_at_both_widths<float>(n, Direction::kForward)) {
+      const std::size_t lanes = plan.lanes();
+      const std::size_t r0 = plan.radices()[0];
+      EXPECT_EQ(plan.scratch_size(),
+                (r0 + lanes - 1) / lanes * lanes * (n / r0))
+          << "n=" << n << " lanes=" << lanes;
+      if (n == 64) {
+        EXPECT_EQ(plan.scratch_size(), n) << "lanes=" << lanes;
+      }
+      std::vector<Cf> data(n);
+      std::vector<Cf> scratch(plan.scratch_size() - 1);
+      EXPECT_THROW(plan.execute(std::span<Cf>(data), std::span<Cf>(scratch)),
+                   xutil::Error)
+          << "n=" << n << " lanes=" << lanes;
+    }
   }
 }
 
@@ -413,22 +445,26 @@ template <typename T>
 void expect_unity_multiplies_kept(std::size_t n) {
   using C = std::complex<T>;
   for (const auto dir : {Direction::kForward, Direction::kInverse}) {
-    const Plan1D<T> plan(n, dir);
+    const auto plans = plans_at_both_widths<T>(n, dir);
     for (const Unity unity : {Unity::kDropLast, Unity::kDropAll}) {
       const auto probes = unity_probes<T>(n, dir, unity);
       ASSERT_FALSE(probes.empty())
           << "no input shows a dropped W[0] multiply at n=" << n;
       for (const auto& x : probes) {
         const auto want = scalar_stage_fft(x, dir, 8);
-        auto got = x;
-        plan.execute(std::span<C>(got));
-        ASSERT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(C)), 0)
-            << "execute T=" << sizeof(T) << "B n=" << n;
-        std::vector<C> scattered(n);
-        plan.execute_scatter_affine(x, std::span<C>(scattered), 0, 1);
-        ASSERT_EQ(std::memcmp(scattered.data(), want.data(), n * sizeof(C)),
-                  0)
-            << "execute_scatter_affine T=" << sizeof(T) << "B n=" << n;
+        for (const Plan1D<T>& plan : plans) {
+          auto got = x;
+          plan.execute(std::span<C>(got));
+          ASSERT_EQ(std::memcmp(got.data(), want.data(), n * sizeof(C)), 0)
+              << "execute T=" << sizeof(T) << "B lanes=" << plan.lanes()
+              << " n=" << n;
+          std::vector<C> scattered(n);
+          plan.execute_scatter_affine(x, std::span<C>(scattered), 0, 1);
+          ASSERT_EQ(
+              std::memcmp(scattered.data(), want.data(), n * sizeof(C)), 0)
+              << "execute_scatter_affine T=" << sizeof(T)
+              << "B lanes=" << plan.lanes() << " n=" << n;
+        }
       }
     }
   }
@@ -444,6 +480,89 @@ TEST_P(Plan1DUnityTwiddle, KeepsEveryMultiplyByWZero) {
 INSTANTIATE_TEST_SUITE_P(Sizes, Plan1DUnityTwiddle,
                          ::testing::Values(64, 128, 256, 512, 1024, 4096,
                                            16384));
+
+// ---------------------------------------------------------------------------
+// Lane widths: the host's width and the baseline width give the same bytes.
+// ---------------------------------------------------------------------------
+
+TEST(LaneWidth, ReportsTheWidthPlansRun) {
+  const xfft::LaneWidth f = xfft::lane_width<float>();
+  const xfft::LaneWidth d = xfft::lane_width<double>();
+  const std::string isa = f.isa;
+  ASSERT_TRUE(isa == "avx2" || isa == "baseline") << isa;
+  EXPECT_EQ(std::string(d.isa), isa);
+  // 32-byte vectors under AVX2, 16-byte ones otherwise.
+  const std::size_t bytes = isa == "avx2" ? 32 : 16;
+  EXPECT_EQ(f.lanes, bytes / sizeof(float));
+  EXPECT_EQ(d.lanes, bytes / sizeof(double));
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
+  EXPECT_EQ(isa == "avx2", __builtin_cpu_supports("avx2") != 0);
+#else
+  EXPECT_EQ(isa, "baseline");
+#endif
+  EXPECT_EQ(Plan1D<float>(64, Direction::kForward).lanes(), f.lanes);
+  EXPECT_EQ(Plan1D<double>(64, Direction::kForward).lanes(), d.lanes);
+  EXPECT_EQ(xfft::detail::NarrowLanes::plan_1d<float>(64, Direction::kForward)
+                .lanes(),
+            xfft::kLanes<float>);
+}
+
+/// execute() and execute_scatter_tile() (a full tile plus three rows) at
+/// the host's width and at the baseline width, byte for byte, on
+/// signed-zero inputs, both directions.
+template <typename T>
+void expect_widths_agree(std::size_t n) {
+  using C = std::complex<T>;
+  const std::size_t rows = xfft::kTileRows<T> + 3;
+  for (const auto dir : {Direction::kForward, Direction::kInverse}) {
+    const auto plans = plans_at_both_widths<T>(n, dir);
+    const auto input = signed_zero_signal<T>(rows * n, 3 * n + 1, 0.25);
+    std::vector<std::vector<C>> rows_out;
+    std::vector<std::vector<C>> tiles_out;
+    for (const Plan1D<T>& plan : plans) {
+      std::vector<C> row(input.begin(),
+                         input.begin() + static_cast<std::ptrdiff_t>(n));
+      xutil::AlignedVector<C> scratch(plan.scratch_size());
+      plan.execute(std::span<C>(row), std::span<C>(scratch));
+      rows_out.push_back(row);
+      std::vector<C> tile(rows * n);
+      plan.execute_scatter_tile(input, std::span<C>(tile), 0, rows);
+      tiles_out.push_back(tile);
+    }
+    ASSERT_EQ(std::memcmp(rows_out[0].data(), rows_out[1].data(),
+                          n * sizeof(C)),
+              0)
+        << "execute T=" << sizeof(T) << "B n=" << n
+        << " dir=" << static_cast<int>(dir);
+    ASSERT_EQ(std::memcmp(tiles_out[0].data(), tiles_out[1].data(),
+                          rows * n * sizeof(C)),
+              0)
+        << "execute_scatter_tile T=" << sizeof(T) << "B n=" << n
+        << " dir=" << static_cast<int>(dir);
+  }
+}
+
+TEST(Plan1DWidths, SameBytesAtEverySizeUpTo64) {
+  // Every first radix and every lane-group fill: 1..64 holds each prime
+  // up to 61 and every power of two up to 64.
+  for (std::size_t n = 1; n <= 64; ++n) {
+    expect_widths_agree<float>(n);
+    expect_widths_agree<double>(n);
+  }
+}
+
+class Plan1DWidths : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(Plan1DWidths, SameBytesAtBothWidths) {
+  expect_widths_agree<float>(GetParam());
+  expect_widths_agree<double>(GetParam());
+}
+
+// Powers of two and smooth sizes with odd radices (3, 5, 7) up to 16384.
+INSTANTIATE_TEST_SUITE_P(Sizes, Plan1DWidths,
+                         ::testing::Values(96, 100, 125, 243, 343, 360, 768,
+                                           1000, 1024, 2187, 3000, 4096, 6561,
+                                           8192, 15625, 16384));
 
 // ---------------------------------------------------------------------------
 // Parameterized sweep: forward transform matches oracle over many sizes.

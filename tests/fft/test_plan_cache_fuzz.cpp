@@ -35,6 +35,17 @@ TEST(PlanCache, ReusesPlansAndCountsHits) {
   EXPECT_EQ(cache.size(), 3u);
 }
 
+TEST(PlanCache, HoldsPlansAtTheHostWidthOnly) {
+  // The baseline-width plans of the test seam (xfft/detail/narrow_lanes.hpp)
+  // are built outside the cache; every cached plan runs lane_width<T>().
+  PlanCache cache;
+  EXPECT_EQ(cache.plan_1d(256, Direction::kForward)->lanes(),
+            xfft::lane_width<float>().lanes);
+  const auto nd = cache.plan_nd(Dims3{8, 12, 1}, Direction::kInverse);
+  EXPECT_EQ(nd->axis_plan(0).lanes(), xfft::lane_width<float>().lanes);
+  EXPECT_EQ(nd->axis_plan(1).lanes(), xfft::lane_width<float>().lanes);
+}
+
 TEST(PlanCache, NdPlansKeyedOnShapeAndMode) {
   PlanCache cache;
   const auto a = cache.plan_nd(Dims3{8, 8, 1}, Direction::kForward);

@@ -78,7 +78,7 @@ TEST(CancelToken, ExpiredTokenShortCircuitsPlanExecution) {
   const std::size_t n = 4096;
   xfft::Plan1D<float> plan(n, xfft::Direction::kForward);
   auto data = signal(n);
-  std::vector<xfft::Cf> scratch(n);
+  std::vector<xfft::Cf> scratch(plan.scratch_size());
   xutil::CancelToken token;
   token.cancel();
   plan.execute(std::span<xfft::Cf>(data), std::span<xfft::Cf>(scratch),

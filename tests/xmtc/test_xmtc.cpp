@@ -5,6 +5,7 @@
 #include <numeric>
 
 #include "../fft/test_helpers.hpp"
+#include "xfft/detail/narrow_lanes.hpp"
 #include "xfft/fftnd.hpp"
 #include "xmtc/fft_xmtc.hpp"
 #include "xmtc/runtime.hpp"
@@ -111,18 +112,20 @@ TEST_P(XmtcFft1D, MatchesPlanLibraryExactly) {
     xmtc::Runtime rt;
     xmtc::fft1d_xmtc(rt, std::span<Cf>(a), dir);
 
-    auto b = input;
-    xfft::Plan1D<float> plan(n, dir);
-    plan.execute(std::span<Cf>(b));
-
     // Same butterflies, same twiddles (the replicated table holds replicas
     // of the identical master roots): bit-for-bit agreement expected, with
     // one XMT thread per butterfly on one side and lane-batched butterflies
-    // on the other.
-    for (std::size_t i = 0; i < n; ++i) {
-      ASSERT_EQ(std::memcmp(&a[i], &b[i], sizeof(Cf)), 0)
-          << "dir=" << static_cast<int>(dir) << " i=" << i << ": " << a[i]
-          << " vs " << b[i];
+    // on the other, at the host's lane width and at the baseline width.
+    for (const auto& plan :
+         {xfft::Plan1D<float>(n, dir),
+          xfft::detail::NarrowLanes::plan_1d<float>(n, dir)}) {
+      auto b = input;
+      plan.execute(std::span<Cf>(b));
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(std::memcmp(&a[i], &b[i], sizeof(Cf)), 0)
+            << "lanes=" << plan.lanes() << " dir=" << static_cast<int>(dir)
+            << " i=" << i << ": " << a[i] << " vs " << b[i];
+      }
     }
   }
 }

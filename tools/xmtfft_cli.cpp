@@ -336,6 +336,9 @@ int cmd_fft(const xutil::Flags& flags) {
               dir == xfft::Direction::kForward ? "forward" : "inverse",
               xutil::format_dims3(nx, ny, nz).c_str(), secs * 1e3,
               xfft::standard_fft_flops(dims.total()) / secs / 1e9, checksum);
+  const xfft::LaneWidth lanes = xfft::lane_width<float>();
+  std::printf("butterfly kernels: %zu float lanes (%s)\n", lanes.lanes,
+              lanes.isa);
   return 0;
 }
 
