@@ -3,8 +3,10 @@
 // The hardcoded radix-2/4/8 cores mirror the structure a TCU register-file
 // kernel would use on XMT (Section IV-A: radix 8 is the largest practical
 // radix because a TCU's 32 floating-point registers hold 16 single-precision
-// complex values). A generic O(r^2) core supports other radices (3, 5, ...)
-// so the library handles any smooth size.
+// complex values). Radices 3 and 5, the odd factors of the smooth sizes,
+// have fixed cores too, as FFTW's small odd codelets do. A generic O(r^2)
+// core supports the primes from 7 up to kMaxRadix, so the library handles
+// any smooth size.
 //
 // Every core is a template over the complex type: std::complex<T>
 // runs one butterfly (the XMTC kernel, one thread per butterfly), and
@@ -98,6 +100,12 @@ template <typename C>
   return inverse ? C{-x.imag(), x.real()} : C{x.imag(), -x.real()};
 }
 
+/// x times the real s: (re*s, im*s), as std::complex<T> * T multiplies.
+template <typename C>
+[[nodiscard]] inline C rmul(C x, typename C::value_type s) {
+  return C{x.real() * s, x.imag() * s};
+}
+
 /// In-place 2-point DFT (self-inverse up to scaling).
 template <typename C>
 inline void dft2(C* v) {
@@ -145,8 +153,52 @@ inline void dft8(C* v, bool inverse) {
   }
 }
 
+/// In-place 3-point DFT: with a = v1 + v2, m = v0 - a/2 and
+/// s = sqrt(3)/2, outputs 1 and 2 are m - i*s*(v1 - v2) and
+/// m + i*s*(v1 - v2) forward; inverse flips the sign of i (the quarter
+/// turn carries it). 16 flops.
+template <typename C>
+inline void dft3(C* v, bool inverse) {
+  using T = typename C::value_type;
+  const T h = static_cast<T>(0.5);
+  const T s = static_cast<T>(0.86602540378443864676);  // sin(2pi/3)
+  const C a = v[1] + v[2];
+  const C b = quarter_turn(rmul(v[1] - v[2], s), inverse);
+  const C m = v[0] - rmul(a, h);
+  v[0] = v[0] + a;
+  v[1] = m + b;
+  v[2] = m - b;
+}
+
+/// In-place 5-point DFT in the cos/sin-pair form: the symmetric sums
+/// a_k = v_k + v_{5-k} meet the cosines c1, c2 and the differences
+/// b_k = v_k - v_{5-k} the sines s1, s2; the quarter turn gives the sines
+/// their factor -i (forward) or +i (inverse). 48 flops.
+template <typename C>
+inline void dft5(C* v, bool inverse) {
+  using T = typename C::value_type;
+  const T c1 = static_cast<T>(0.30901699437494742410);   // cos(2pi/5)
+  const T c2 = static_cast<T>(-0.80901699437494742410);  // cos(4pi/5)
+  const T s1 = static_cast<T>(0.95105651629515357212);   // sin(2pi/5)
+  const T s2 = static_cast<T>(0.58778525229247312917);   // sin(4pi/5)
+  const C a1 = v[1] + v[4];
+  const C a2 = v[2] + v[3];
+  const C b1 = v[1] - v[4];
+  const C b2 = v[2] - v[3];
+  const C m1 = v[0] + rmul(a1, c1) + rmul(a2, c2);
+  const C m2 = v[0] + rmul(a1, c2) + rmul(a2, c1);
+  const C n1 = quarter_turn(rmul(b1, s1) + rmul(b2, s2), inverse);
+  const C n2 = quarter_turn(rmul(b1, s2) - rmul(b2, s1), inverse);
+  v[0] = v[0] + a1 + a2;
+  v[1] = m1 + n1;
+  v[2] = m2 + n2;
+  v[3] = m2 - n2;
+  v[4] = m1 - n1;
+}
+
 /// In-place r-point DFT via the master twiddle table of a length-n plan
-/// (n divisible by r). O(r^2); used for radices without a hardcoded core.
+/// (n divisible by r). O(r^2); used for the radices without a fixed core,
+/// the primes from 7 up.
 /// Output i sums v[t] * w_r^{-i*t}; the root index i*t mod r is stepped by
 /// i and wrapped at r instead of divided. Like the fixed cores it is a
 /// template over the complex type, so lanes round as the scalar core does.
@@ -182,8 +234,14 @@ inline void small_dft(C* v, unsigned r, bool inverse,
     case 2:
       dft2(v);
       break;
+    case 3:
+      dft3(v, inverse);
+      break;
     case 4:
       dft4(v, inverse);
+      break;
+    case 5:
+      dft5(v, inverse);
       break;
     case 8:
       dft8(v, inverse);
@@ -200,8 +258,12 @@ inline void small_dft(C* v, unsigned r, bool inverse,
   switch (r) {
     case 2:
       return 4;  // 2 complex additions
+    case 3:
+      return 16;  // 6 complex additions + 2 complex-by-real multiplies
     case 4:
       return 16;  // 8 complex additions
+    case 5:
+      return 48;  // 16 complex additions + 8 complex-by-real multiplies
     case 8:
       return 60;  // 2x dft4 + 8 cadds + 2 nontrivial w8 multiplies
     default:

@@ -97,7 +97,8 @@ PlanND<T>::PlanND(Dims3 dims, Direction dir, Options opt, std::size_t lanes)
     plan_of_axis_[static_cast<std::size_t>(axis)] = found;
   }
   // Rank 1 runs the row plan on this buffer, whose planes may exceed n.
-  scratch_.resize(std::max(dims.total(), axis_plan(0).scratch_size()));
+  scratch_ = xutil::UninitializedBuffer<std::complex<T>>(
+      std::max(dims.total(), axis_plan(0).scratch_size()));
 }
 
 template <typename T>

@@ -116,7 +116,8 @@ class PlanND {
   // One plan per axis length (axes of equal length share a plan).
   std::vector<std::unique_ptr<Plan1D<T>>> plans_;
   std::array<int, 3> plan_of_axis_{};
-  mutable xutil::AlignedVector<std::complex<T>> scratch_;
+  // Every pass writes it before reading it, so it is not zero-filled.
+  xutil::UninitializedBuffer<std::complex<T>> scratch_;
 };
 
 /// Convenience aliases matching the paper's 2-D / 3-D usage.

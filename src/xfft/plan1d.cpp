@@ -262,15 +262,21 @@ void to_planes(const std::complex<T>* rows, std::size_t live, std::size_t n,
 }
 
 /// Calls f(std::integral_constant<unsigned, R>) with R = r for the radices
-/// with a hardcoded core (2, 4, 8), else with R = 0: the generic core.
+/// with a fixed core (2, 3, 4, 5, 8), else with R = 0: the generic core.
 template <typename F>
 void with_radix(unsigned r, F&& f) {
   switch (r) {
     case 2:
       f(std::integral_constant<unsigned, 2>{});
       break;
+    case 3:
+      f(std::integral_constant<unsigned, 3>{});
+      break;
     case 4:
       f(std::integral_constant<unsigned, 4>{});
+      break;
+    case 5:
+      f(std::integral_constant<unsigned, 5>{});
       break;
     case 8:
       f(std::integral_constant<unsigned, 8>{});
@@ -288,8 +294,12 @@ void core(C* v, unsigned r, const TwiddleTable<typename C::value_type>& tw,
           bool inverse) {
   if constexpr (R == 2) {
     dft2(v);
+  } else if constexpr (R == 3) {
+    dft3(v, inverse);
   } else if constexpr (R == 4) {
     dft4(v, inverse);
+  } else if constexpr (R == 5) {
+    dft5(v, inverse);
   } else if constexpr (R == 8) {
     dft8(v, inverse);
   } else {
@@ -488,8 +498,7 @@ void from_planes(const T* planes, std::size_t len, std::size_t live,
     const T* const x0 = planes + perm[k * perm_step] * S;
     for (std::size_t b = 0; b < live; b += L) {
       Lanes<T, L> x = load_lanes<L>(x0 + b / L * len * S);
-      // Lane-wise complex * real: (re*s, im*s), as std::complex does it.
-      if (scale) x = {x.re * s, x.im * s};
+      if (scale) x = rmul(x, s);
       if (pitch == 1 && live - b >= L) {
         typename Lanes<T, L>::V halves[2];
         zip(x.re, x.im, halves[0], halves[1], lanes);

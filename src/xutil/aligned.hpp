@@ -4,7 +4,9 @@
 #include <cstddef>
 #include <cstdlib>
 #include <limits>
+#include <memory>
 #include <new>
+#include <type_traits>
 #include <vector>
 
 namespace xutil {
@@ -53,5 +55,32 @@ class AlignedAllocator {
 /// std::vector with cache-line aligned storage.
 template <typename T>
 using AlignedVector = std::vector<T, AlignedAllocator<T>>;
+
+/// n values of T in cache-line aligned storage that is never initialized,
+/// for a buffer whose users write every element before reading it. Unlike
+/// AlignedVector(n), which value-initializes, allocating one touches no
+/// page: the page faults fall to the first writer.
+template <typename T>
+class UninitializedBuffer {
+  static_assert(std::is_trivially_copyable_v<T> &&
+                std::is_trivially_destructible_v<T>);
+
+ public:
+  UninitializedBuffer() = default;
+  explicit UninitializedBuffer(std::size_t n)
+      : data_(n == 0 ? nullptr : AlignedAllocator<T>().allocate(n)), size_(n) {}
+
+  [[nodiscard]] T* data() const { return data_.get(); }
+  [[nodiscard]] std::size_t size() const { return size_; }
+
+ private:
+  struct Free {
+    void operator()(T* p) const noexcept {
+      AlignedAllocator<T>().deallocate(p, 0);
+    }
+  };
+  std::unique_ptr<T[], Free> data_;
+  std::size_t size_ = 0;
+};
 
 }  // namespace xutil

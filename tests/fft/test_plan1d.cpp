@@ -140,6 +140,50 @@ TEST(SmallDft, CmulMatchesOperatorStarBitForBitOnFiniteOperands) {
   expect_cmul_matches_operator_star<double>(4);
 }
 
+/// The fixed radix-r core (r = 3 or 5) against the double oracle, both
+/// directions, on random inputs rounded to T. small_dft must dispatch
+/// radix r to that core: the same bytes.
+template <typename T>
+void expect_fixed_core_matches_oracle(unsigned r, double tol) {
+  using C = std::complex<T>;
+  for (const auto dir : {Direction::kForward, Direction::kInverse}) {
+    const bool inverse = dir == Direction::kInverse;
+    const xfft::TwiddleTable<T> tw(r, dir);
+    for (std::uint64_t seed = 0; seed < 32; ++seed) {
+      const auto xd = xfft_test::random_signal_d(r, 100 * r + seed);
+      std::vector<C> x(xd.begin(), xd.end());
+      const std::vector<xfft::Cd> exact(x.begin(), x.end());
+      std::vector<xfft::Cd> want(r);
+      xfft::dft_reference(std::span<const xfft::Cd>(exact),
+                          std::span<xfft::Cd>(want), dir);
+      auto dispatched = x;
+      if (r == 3) {
+        xfft::dft3(x.data(), inverse);
+      } else {
+        xfft::dft5(x.data(), inverse);
+      }
+      xfft::small_dft(dispatched.data(), r, inverse, tw, r);
+      EXPECT_LT((relative_max_error<C, xfft::Cd>(x, want)), tol)
+          << "T=" << sizeof(T) << "B radix " << r << " inverse=" << inverse
+          << " seed=" << seed;
+      for (unsigned k = 0; k < r; ++k) {
+        ASSERT_TRUE(same_bits(x[k], dispatched[k]))
+            << "small_dft radix " << r << " k=" << k;
+      }
+    }
+  }
+}
+
+TEST(SmallDft, Radix3MatchesOracleBothDirections) {
+  expect_fixed_core_matches_oracle<float>(3, 1e-6);
+  expect_fixed_core_matches_oracle<double>(3, 1e-14);
+}
+
+TEST(SmallDft, Radix5MatchesOracleBothDirections) {
+  expect_fixed_core_matches_oracle<float>(5, 1e-6);
+  expect_fixed_core_matches_oracle<double>(5, 1e-14);
+}
+
 // ---------------------------------------------------------------------------
 // Lane-batched stages: byte-identical to one scalar butterfly at a time.
 // ---------------------------------------------------------------------------
@@ -214,6 +258,76 @@ std::vector<std::complex<T>> signed_zero_signal(std::size_t n,
     c = {re, part()};
   }
   return x;
+}
+
+/// The radix-r core (small_dft) on kLanes<T> inputs at once in SplitComplex
+/// lanes, against each input alone as std::complex: every lane must hold
+/// the scalar core's bytes. `inputs` holds the inputs one after another, r
+/// values each.
+template <typename T>
+void expect_split_lanes_match_scalar_core(
+    unsigned r, const std::vector<std::complex<T>>& inputs) {
+  using C = std::complex<T>;
+  constexpr std::size_t L = xfft::kLanes<T>;
+  using S = xfft::SplitComplex<T, L>;
+  const std::size_t count = inputs.size() / r;
+  for (const auto dir : {Direction::kForward, Direction::kInverse}) {
+    const bool inverse = dir == Direction::kInverse;
+    const xfft::TwiddleTable<T> tw(r, dir);
+    for (std::size_t g = 0; g < count; g += L) {
+      S v[xfft::kMaxRadix] = {};
+      for (std::size_t l = 0; l < L && g + l < count; ++l) {
+        for (unsigned t = 0; t < r; ++t) {
+          v[t].re[l] = inputs[(g + l) * r + t].real();
+          v[t].im[l] = inputs[(g + l) * r + t].imag();
+        }
+      }
+      xfft::small_dft(v, r, inverse, tw, r);
+      for (std::size_t l = 0; l < L && g + l < count; ++l) {
+        C want[xfft::kMaxRadix];
+        std::copy_n(inputs.begin() + static_cast<std::ptrdiff_t>((g + l) * r),
+                    r, want);
+        xfft::small_dft(want, r, inverse, tw, r);
+        for (unsigned k = 0; k < r; ++k) {
+          const C got{v[k].re[l], v[k].im[l]};
+          ASSERT_TRUE(same_bits(got, want[k]))
+              << "T=" << sizeof(T) << "B radix " << r
+              << " inverse=" << inverse << " input " << g + l << " k=" << k
+              << ": " << got << " vs " << want[k];
+        }
+      }
+    }
+  }
+}
+
+/// Signed-zero inputs, then impulses: every position, three values, on a
+/// +0 and a -0 background.
+template <typename T>
+void expect_split_lanes_match_scalar_core(unsigned r) {
+  using C = std::complex<T>;
+  for (const double zero_frac : {0.25, 0.5, 1.0}) {
+    expect_split_lanes_match_scalar_core<T>(
+        r, signed_zero_signal<T>(64 * r, r + 7, zero_frac));
+  }
+  std::vector<C> impulses;
+  for (const T bg : {T(0.0), T(-0.0)}) {
+    for (const C value : {C(T(-1), T(-0.0)), C(T(0.0), T(-1)),
+                          C(T(0.75), T(-0.5))}) {
+      for (unsigned p = 0; p < r; ++p) {
+        for (unsigned t = 0; t < r; ++t) {
+          impulses.push_back(t == p ? value : C(bg, bg));
+        }
+      }
+    }
+  }
+  expect_split_lanes_match_scalar_core<T>(r, impulses);
+}
+
+TEST(SmallDft, Radix3And5SplitLanesMatchComplexByteForByte) {
+  for (const unsigned r : {3u, 5u}) {
+    expect_split_lanes_match_scalar_core<float>(r);
+    expect_split_lanes_match_scalar_core<double>(r);
+  }
 }
 
 /// The plan at the width this host runs (lane_width<T>()) and the plan at
@@ -626,12 +740,18 @@ double relative_rms_error(const std::vector<Cf>& got,
 /// The bound is kRmsC * log2(n) * 2^-24, 2^-24 being float's unit
 /// roundoff. Measured at the sizes below, both directions, seeds n and
 /// n + 1, err / (log2(n) * 2^-24) is 0.30 at n = 16 (forward), the worst,
-/// and falls to 0.17 at n = 16384; 768 and 1000 read 0.20-0.24. kRmsC
-/// leaves a 2x margin over the worst.
+/// and falls to 0.17 at n = 16384. kRmsC leaves a 2x margin over the worst.
+/// The sizes with an odd factor read, forward / inverse, with the generic
+/// O(r^2) core for radices 3 and 5 and then with the fixed dft3/dft5:
+///   768 (8*8*4*3)      0.204 / 0.196  ->  0.205 / 0.194
+///   1000 (8*5^3)       0.208 / 0.239  ->  0.211 / 0.227
+///   2187 (3^7)         0.225 / 0.228  ->  0.217 / 0.227
+///   3125 (5^5)         0.218 / 0.211  ->  0.213 / 0.206
+///   6000 (8*2*3*5^3)   0.192 / 0.195  ->  0.187 / 0.191
 constexpr double kRmsC = 0.6;
 
 TEST(Plan1DAccuracy, RelativeRmsErrorGrowsAsLogN) {
-  std::vector<std::size_t> sizes = {768, 1000};
+  std::vector<std::size_t> sizes = {768, 1000, 2187, 3125, 6000};
   for (std::size_t n = 16; n <= 16384; n *= 2) sizes.push_back(n);
   for (const std::size_t n : sizes) {
     for (const auto dir : {Direction::kForward, Direction::kInverse}) {
@@ -860,6 +980,16 @@ TEST(Plan1D, ActualFlopsScalesWithNLogN) {
   const double ratio = static_cast<double>(p4096.actual_flops()) /
                        static_cast<double>(p512.actual_flops());
   EXPECT_NEAR(ratio, 32.0 / 3.0, 1e-9);
+}
+
+TEST(Plan1D, ActualFlopsCountsTheFixedRadix5Core) {
+  // 1000 = 8 * 5 * 5 * 5. Per stage of radix r: n/r butterflies of
+  // small_dft_flops(r) plus 6(r - 1) for the twiddle multiplies.
+  // Radix 8: 125 * (60 + 42) = 12750; radix 5: 200 * (48 + 24) = 14400.
+  EXPECT_EQ(xfft::small_dft_flops(3), 16u);
+  EXPECT_EQ(xfft::small_dft_flops(5), 48u);
+  EXPECT_EQ(Plan1D<float>(1000, Direction::kForward).actual_flops(),
+            12750u + 3u * 14400u);
 }
 
 TEST(Plan1D, RejectsSizesBeyondUint32PermutationBeforeAllocating) {
