@@ -5,6 +5,30 @@
 #include "xutil/check.hpp"
 
 namespace xfft {
+namespace {
+
+/// Transforms in place every line of `len` points at `stride` in `data`,
+/// one Plan1D call per line: the lines start at g * len * stride + j for
+/// j < stride, g outer. Along y (stride bx) that is one block per z plane;
+/// along z (stride bx * ny) one block spans the volume. A length below 2
+/// is the identity and is skipped.
+void strided_lines(std::span<Cf> data, std::size_t len, std::size_t stride,
+                   Direction dir, Scaling scaling) {
+  if (len < 2) return;
+  Plan1D<float> plan(len, dir, PlanOptions{.scaling = scaling});
+  std::vector<Cf> line(len);
+  std::vector<Cf> scratch(plan.scratch_size());
+  for (std::size_t g = 0; g < data.size(); g += len * stride) {
+    for (std::size_t j = 0; j < stride; ++j) {
+      Cf* p = data.data() + g + j;
+      for (std::size_t i = 0; i < len; ++i) line[i] = p[i * stride];
+      plan.execute(std::span<Cf>(line), scratch);
+      for (std::size_t i = 0; i < len; ++i) p[i * stride] = line[i];
+    }
+  }
+}
+
+}  // namespace
 
 void rfftnd_forward(std::span<const float> in, std::span<Cf> out,
                     Dims3 dims) {
@@ -24,34 +48,10 @@ void rfftnd_forward(std::span<const float> in, std::span<Cf> out,
     }
   }
   // 2. Complex FFT along y (stride bx) for every (x-bin, z).
-  if (dims.ny > 1) {
-    Plan1D<float> plan(dims.ny, Direction::kForward,
-                       PlanOptions{.scaling = Scaling::kNone});
-    std::vector<Cf> line(dims.ny);
-    std::vector<Cf> scratch(plan.scratch_size());
-    for (std::size_t z = 0; z < dims.nz; ++z) {
-      for (std::size_t k = 0; k < bx; ++k) {
-        Cf* p = out.data() + z * dims.ny * bx + k;
-        for (std::size_t y = 0; y < dims.ny; ++y) line[y] = p[y * bx];
-        plan.execute(std::span<Cf>(line), scratch);
-        for (std::size_t y = 0; y < dims.ny; ++y) p[y * bx] = line[y];
-      }
-    }
-  }
+  strided_lines(out, dims.ny, bx, Direction::kForward, Scaling::kNone);
   // 3. Complex FFT along z (stride bx*ny).
-  if (dims.nz > 1) {
-    Plan1D<float> plan(dims.nz, Direction::kForward,
-                       PlanOptions{.scaling = Scaling::kNone});
-    std::vector<Cf> line(dims.nz);
-    std::vector<Cf> scratch(plan.scratch_size());
-    const std::size_t plane = bx * dims.ny;
-    for (std::size_t yk = 0; yk < plane; ++yk) {
-      Cf* p = out.data() + yk;
-      for (std::size_t z = 0; z < dims.nz; ++z) line[z] = p[z * plane];
-      plan.execute(std::span<Cf>(line), scratch);
-      for (std::size_t z = 0; z < dims.nz; ++z) p[z * plane] = line[z];
-    }
-  }
+  strided_lines(out, dims.nz, bx * dims.ny, Direction::kForward,
+                Scaling::kNone);
 }
 
 void rfftnd_inverse(std::span<const Cf> in, std::span<float> out,
@@ -64,34 +64,11 @@ void rfftnd_inverse(std::span<const Cf> in, std::span<float> out,
   std::vector<Cf> work(in.begin(), in.end());
 
   // Reverse step 3: inverse FFT along z (1/nz scaling).
-  if (dims.nz > 1) {
-    Plan1D<float> plan(dims.nz, Direction::kInverse,
-                       PlanOptions{.scaling = Scaling::kUnitary1OverN});
-    std::vector<Cf> line(dims.nz);
-    std::vector<Cf> scratch(plan.scratch_size());
-    const std::size_t plane = bx * dims.ny;
-    for (std::size_t yk = 0; yk < plane; ++yk) {
-      Cf* p = work.data() + yk;
-      for (std::size_t z = 0; z < dims.nz; ++z) line[z] = p[z * plane];
-      plan.execute(std::span<Cf>(line), scratch);
-      for (std::size_t z = 0; z < dims.nz; ++z) p[z * plane] = line[z];
-    }
-  }
+  strided_lines(work, dims.nz, bx * dims.ny, Direction::kInverse,
+                Scaling::kUnitary1OverN);
   // Reverse step 2: inverse FFT along y (1/ny scaling).
-  if (dims.ny > 1) {
-    Plan1D<float> plan(dims.ny, Direction::kInverse,
-                       PlanOptions{.scaling = Scaling::kUnitary1OverN});
-    std::vector<Cf> line(dims.ny);
-    std::vector<Cf> scratch(plan.scratch_size());
-    for (std::size_t z = 0; z < dims.nz; ++z) {
-      for (std::size_t k = 0; k < bx; ++k) {
-        Cf* p = work.data() + z * dims.ny * bx + k;
-        for (std::size_t y = 0; y < dims.ny; ++y) line[y] = p[y * bx];
-        plan.execute(std::span<Cf>(line), scratch);
-        for (std::size_t y = 0; y < dims.ny; ++y) p[y * bx] = line[y];
-      }
-    }
-  }
+  strided_lines(work, dims.ny, bx, Direction::kInverse,
+                Scaling::kUnitary1OverN);
   // Reverse step 1: inverse real FFT along x (1/nx scaling inside).
   {
     std::vector<Cf> bins(bx);

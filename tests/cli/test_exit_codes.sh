@@ -96,5 +96,8 @@ rm -rf "$ckdir"
 
 # success
 expect 0 "$CLI" fft --size 64
+expect 0 "$CLI" configs
+expect 0 "$CLI" simulate --config 4k --size 64^3
+expect 0 "$CLI" roofline --config 4k --size 64^3
 
 exit $fail

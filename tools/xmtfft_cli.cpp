@@ -1,32 +1,5 @@
-// xmtfft command-line driver.
-//
-//   xmtfft_cli configs
-//       List the Table II configurations and derived rates.
-//   xmtfft_cli simulate --config 64k --size 512^3 [--radix 8]
-//       Analytic performance model: per-phase breakdown + totals.
-//   xmtfft_cli roofline --config 128k_x4 --size 512^3
-//       Fig.-3-style marker report for one configuration.
-//   xmtfft_cli machine --clusters 16 --size 64x64 [--bf 4] [--radix 8]
-//       Cycle-level machine run on a custom scaled configuration. With
-//       --checkpoint-dir D [--checkpoint-every N] the run snapshots its
-//       complete state into an N-generation ring and --resume continues a
-//       killed run from the newest good generation, producing bit-identical
-//       output to an uninterrupted run.
-//   xmtfft_cli fft --size 1024 [--inverse]
-//       Host FFT of a synthetic signal; prints a checksum and timing.
-//   xmtfft_cli faults --faults "cluster:kill:1,dram:chan:1,soft:flip:1e-4"
-//       Degraded-machine run: cycle-level (scaled config) or analytic
-//       (--config preset) timing under a fault plan, plus the host-side
-//       soft-error detection/recovery harness with checksum verification.
-//   xmtfft_cli check [--seed 1] [--trials 200] [--corpus <dir>]
-//       Cross-fidelity differential fuzzing: random machine configs + FFT
-//       sizes through both the cycle-level machine and the analytic model,
-//       failures shrunk to minimal reproducers. --replay <dir> re-runs a
-//       saved corpus; --canary <scale> mis-calibrates the model on purpose
-//       (a scale well below 1 must be caught).
-//   xmtfft_cli serve --requests 200 --rps 2000 [--capacity 32] [...]
-//       Replays a synthetic open-loop traffic trace through the xserve FFT
-//       job service and prints the outcome/latency/degradation table.
+// xmtfft command-line interface: one table of subcommands (kCommands), which
+// drives both the dispatch in main() and usage().
 //
 // Exit codes (stable; scripts and tests depend on them):
 //   0  success
@@ -93,41 +66,6 @@ void install_signal_handlers() {
   std::signal(SIGTERM, record_signal);
 }
 
-int usage() {
-  std::puts(
-      "usage: xmtfft_cli"
-      " <configs|simulate|roofline|machine|fft|faults|check|serve>"
-      " [flags]\n"
-      "  configs\n"
-      "  simulate --config {4k,8k,64k,128k_x2,128k_x4} --size 512^3"
-      " [--radix 8]\n"
-      "  roofline --config <name> --size <dims>\n"
-      "  machine  --clusters N [--mot L] [--bf L] --size <dims>"
-      " [--cycle-limit N]\n"
-      "           [--checkpoint-dir D] [--checkpoint-every cycles]"
-      " [--checkpoint-keep N]\n"
-      "           [--resume]  (SIGINT/SIGTERM checkpoint, then exit 6)\n"
-      "  fft      --size N [--inverse]\n"
-      "  faults   --faults <spec> [--seed N] [--config <name> | --clusters N]"
-      " --size <dims>\n"
-      "           spec: tcu:kill:<sel>,cluster:kill:<sel>,dram:chan:<sel>,"
-      "noc:link:degrade:<f>x[:<sel>],soft:flip:<rate>\n"
-      "  check    [--seed N] [--trials N] [--corpus <dir>] [--replay <dir>]\n"
-      "           [--journal <file>]  (restart skips journaled trials)\n"
-      "           [--canary <scale>] [--properties] [--lower f] [--upper f]"
-      " [--floor cycles]\n"
-      "  serve    [--requests N] [--rps R] [--capacity Q] [--size <dims>]\n"
-      "           [--deadline-ms D] [--faults <spec>] [--fault-fraction f]"
-      " [--seed N]\n"
-      "  any command also takes --threads N (host worker threads for FFT\n"
-      "  execution, fuzz trials, sweeps; default: $XMTFFT_THREADS, else all\n"
-      "  cores; results are identical at any thread count)\n"
-      "exit codes: 0 ok, 1 harness failure, 2 usage, 3 invalid input,\n"
-      "  4 deadline exceeded (watchdog), 5 fault budget exhausted,\n"
-      "  6 interrupted after writing a checkpoint (rerun with --resume)");
-  return kExitUsage;
-}
-
 xsim::MachineConfig config_by_name(const std::string& name) {
   for (auto& c : xsim::paper_presets()) {
     std::string key = c.name;
@@ -140,7 +78,44 @@ xsim::MachineConfig config_by_name(const std::string& name) {
                      "' (try: 4k, 8k, 64k, 128k_x2, 128k_x4)");
 }
 
-int cmd_configs() {
+/// Parses --size (e.g. 512^3, 64x64, 1024) into the transform's shape.
+xfft::Dims3 size_flag(const xutil::Flags& flags, const char* fallback) {
+  xfft::Dims3 dims;
+  xutil::parse_dims(flags.get("size", fallback), &dims.nx, &dims.ny,
+                    &dims.nz);
+  return dims;
+}
+
+std::string dims_name(xfft::Dims3 dims) {
+  return xutil::format_dims3(dims.nx, dims.ny, dims.nz);
+}
+
+/// A complex signal with both parts uniform in [-1, 1), drawn from `rng`.
+std::vector<xfft::Cf> random_signal(std::size_t n, xutil::Pcg32& rng) {
+  std::vector<xfft::Cf> v(n);
+  for (auto& x : v) {
+    x = xfft::Cf(rng.next_signed_unit(), rng.next_signed_unit());
+  }
+  return v;
+}
+
+/// The analytic model's per-phase table, closed by a TOTAL row.
+xutil::Table phase_table(const std::string& title,
+                         const xsim::FftPerfReport& r) {
+  xutil::Table t(title);
+  t.set_header({"Phase", "ms", "bound", "GFLOPS (actual)"});
+  for (const auto& ph : r.phases) {
+    t.add_row({ph.name, xutil::format_fixed(ph.seconds * 1e3, 3),
+               xsim::bound_name(ph.bound),
+               xutil::format_gflops(ph.actual_gflops)});
+  }
+  t.add_row({"TOTAL", xutil::format_fixed(r.total_seconds * 1e3, 3), "",
+             xutil::format_gflops(r.standard_gflops) + " (5NlogN)"});
+  return t;
+}
+
+int cmd_configs(const xutil::Flags& flags) {
+  flags.reject_unused();
   xutil::Table t("XMT CONFIGURATIONS");
   t.set_header({"Name", "TCUs", "Clusters", "NoC", "DRAM channels",
                 "Peak", "Off-chip BW"});
@@ -159,38 +134,21 @@ int cmd_configs() {
 
 int cmd_simulate(const xutil::Flags& flags) {
   const auto cfg = config_by_name(flags.get("config", "64k"));
-  std::size_t nx = 512;
-  std::size_t ny = 512;
-  std::size_t nz = 512;
-  xutil::parse_dims(flags.get("size", "512^3"), &nx, &ny, &nz);
+  const xfft::Dims3 dims = size_flag(flags, "512^3");
   const auto radix = static_cast<unsigned>(flags.get_int("radix", 8));
   flags.reject_unused();
-  const xfft::Dims3 dims{nx, ny, nz};
   const auto r = xsim::FftPerfModel(cfg).analyze_fft(dims, radix);
-
-  xutil::Table t("FFT ON " + cfg.name + ", " +
-                 xutil::format_dims3(nx, ny, nz));
-  t.set_header({"Phase", "ms", "bound", "GFLOPS (actual)"});
-  for (const auto& ph : r.phases) {
-    t.add_row({ph.name, xutil::format_fixed(ph.seconds * 1e3, 3),
-               xsim::bound_name(ph.bound),
-               xutil::format_gflops(ph.actual_gflops)});
-  }
-  t.add_row({"TOTAL", xutil::format_fixed(r.total_seconds * 1e3, 3), "",
-             xutil::format_gflops(r.standard_gflops) + " (5NlogN)"});
+  const xutil::Table t =
+      phase_table("FFT ON " + cfg.name + ", " + dims_name(dims), r);
   std::fputs(t.render().c_str(), stdout);
   return 0;
 }
 
 int cmd_roofline(const xutil::Flags& flags) {
   const auto cfg = config_by_name(flags.get("config", "64k"));
-  std::size_t nx = 512;
-  std::size_t ny = 512;
-  std::size_t nz = 512;
-  xutil::parse_dims(flags.get("size", "512^3"), &nx, &ny, &nz);
+  const xfft::Dims3 dims = size_flag(flags, "512^3");
   flags.reject_unused();
-  const auto report =
-      xsim::FftPerfModel(cfg).analyze_fft(xfft::Dims3{nx, ny, nz});
+  const auto report = xsim::FftPerfModel(cfg).analyze_fft(dims);
   const auto series = xroof::fft_series(cfg, report);
   std::printf("%s: peak %.0f GFLOPS, %.0f GB/s, ridge %.2f F/B\n",
               cfg.name.c_str(), series.platform.peak_gflops,
@@ -231,11 +189,7 @@ xsim::MachineConfig scaled_config_from_flags(const xutil::Flags& flags) {
 
 int cmd_machine(const xutil::Flags& flags) {
   const xsim::MachineConfig c = scaled_config_from_flags(flags);
-
-  std::size_t nx = 64;
-  std::size_t ny = 64;
-  std::size_t nz = 1;
-  xutil::parse_dims(flags.get("size", "64x64"), &nx, &ny, &nz);
+  const xfft::Dims3 dims = size_flag(flags, "64x64");
   const auto radix = static_cast<unsigned>(flags.get_int("radix", 8));
   xsim::MachineOptions mopt;
   mopt.cycle_limit = static_cast<std::uint64_t>(flags.get_int(
@@ -249,7 +203,6 @@ int cmd_machine(const xutil::Flags& flags) {
   flags.reject_unused();
   XU_CHECK_MSG(!ckpt_dir.empty() || (ckpt_every == 0 && !resume),
                "--checkpoint-every/--resume need --checkpoint-dir");
-  const xfft::Dims3 dims{nx, ny, nz};
 
   xsim::Machine machine(c, mopt);
   xsim::DetailedFftResult r;
@@ -288,8 +241,8 @@ int cmd_machine(const xutil::Flags& flags) {
     }
     r = st.result;
   }
-  xutil::Table t("CYCLE-LEVEL RUN ON " + c.name + " (" +
-                 xutil::format_dims3(nx, ny, nz) + ")");
+  xutil::Table t("CYCLE-LEVEL RUN ON " + c.name + " (" + dims_name(dims) +
+                 ")");
   t.set_header({"Phase", "cycles", "hit rate", "DRAM util", "FPU util"});
   for (const auto& ph : r.phases) {
     t.add_row({ph.name, std::to_string(ph.result.cycles),
@@ -299,8 +252,7 @@ int cmd_machine(const xutil::Flags& flags) {
   }
   t.add_row({"TOTAL", std::to_string(r.total_cycles), "", "", ""});
   t.add_note("at 3.3 GHz: " +
-             xutil::format_fixed(
-                 r.standard_gflops(xfft::Dims3{nx, ny, nz}, 3.3e9), 2) +
+             xutil::format_fixed(r.standard_gflops(dims, 3.3e9), 2) +
              " GFLOPS (5NlogN)");
   std::fputs(t.render().c_str(), stdout);
   if (r.truncated) {
@@ -313,28 +265,24 @@ int cmd_machine(const xutil::Flags& flags) {
 }
 
 int cmd_fft(const xutil::Flags& flags) {
-  std::size_t nx = 1024;
-  std::size_t ny = 1;
-  std::size_t nz = 1;
-  xutil::parse_dims(flags.get("size", "1024"), &nx, &ny, &nz);
-  const xfft::Dims3 dims{nx, ny, nz};
+  const xfft::Dims3 dims = size_flag(flags, "1024");
   const auto dir = flags.has("inverse") ? xfft::Direction::kInverse
                                         : xfft::Direction::kForward;
   flags.reject_unused();
-  std::vector<xfft::Cf> data(dims.total());
   xutil::Pcg32 rng(1);
-  for (auto& v : data) {
-    v = xfft::Cf(rng.next_signed_unit(), rng.next_signed_unit());
-  }
+  std::vector<xfft::Cf> data = random_signal(dims.total(), rng);
+  // Plan outside the clock: the timing covers the transform, not the
+  // twiddle tables and permutations a fresh process builds on first use.
+  const auto plan = xfft::PlanCache::global().plan_nd(dims, dir);
   const auto t0 = std::chrono::steady_clock::now();
-  xfft::fft_cached_nd(std::span<xfft::Cf>(data), dims, dir);
+  plan->execute(std::span<xfft::Cf>(data));
   const auto t1 = std::chrono::steady_clock::now();
   double checksum = 0.0;
   for (const auto& v : data) checksum += std::abs(v);
   const double secs = std::chrono::duration<double>(t1 - t0).count();
   std::printf("%s FFT of %s: %.3f ms (%.2f GFLOPS 5NlogN), checksum %.6g\n",
               dir == xfft::Direction::kForward ? "forward" : "inverse",
-              xutil::format_dims3(nx, ny, nz).c_str(), secs * 1e3,
+              dims_name(dims).c_str(), secs * 1e3,
               xfft::standard_fft_flops(dims.total()) / secs / 1e9, checksum);
   const xfft::LaneWidth lanes = xfft::lane_width<float>();
   std::printf("butterfly kernels: %zu float lanes (%s)\n", lanes.lanes,
@@ -356,11 +304,8 @@ std::string fault_summary(const xfault::FaultMap& map) {
 /// Returns 0 when the recovered output matches the reference.
 int run_resilience_harness(xfft::Dims3 dims, double soft_rate,
                            std::uint64_t seed) {
-  std::vector<xfft::Cf> data(dims.total());
   xutil::Pcg32 rng(seed);
-  for (auto& v : data) {
-    v = xfft::Cf(rng.next_signed_unit(), rng.next_signed_unit());
-  }
+  std::vector<xfft::Cf> data = random_signal(dims.total(), rng);
   std::vector<xfft::Cf> reference = data;
   xfft::PlanND<float>(dims, xfft::Direction::kForward)
       .execute(std::span<xfft::Cf>(reference));
@@ -403,13 +348,9 @@ int cmd_faults(const xutil::Flags& flags) {
     // Paper-scale configuration: analytic model, derated by the surviving
     // capacity of the materialized fault map.
     const auto cfg = config_by_name(flags.get("config", "64k"));
-    std::size_t nx = 512;
-    std::size_t ny = 512;
-    std::size_t nz = 512;
-    xutil::parse_dims(flags.get("size", "512^3"), &nx, &ny, &nz);
+    const xfft::Dims3 dims = size_flag(flags, "512^3");
     const auto radix = static_cast<unsigned>(flags.get_int("radix", 8));
     flags.reject_unused();
-    const xfft::Dims3 dims{nx, ny, nz};
 
     const auto map = xfault::materialize(plan, xsim::fault_shape(cfg));
     const auto derate = xsim::FaultDerating::from_fault_map(map);
@@ -417,17 +358,8 @@ int cmd_faults(const xutil::Flags& flags) {
     const auto degraded =
         xsim::FftPerfModel(cfg, derate).analyze_fft(dims, radix);
 
-    xutil::Table t("DEGRADED FFT ON " + cfg.name + ", " +
-                   xutil::format_dims3(nx, ny, nz));
-    t.set_header({"Phase", "ms", "bound", "GFLOPS (actual)"});
-    for (const auto& ph : degraded.phases) {
-      t.add_row({ph.name, xutil::format_fixed(ph.seconds * 1e3, 3),
-                 xsim::bound_name(ph.bound),
-                 xutil::format_gflops(ph.actual_gflops)});
-    }
-    t.add_row({"TOTAL", xutil::format_fixed(degraded.total_seconds * 1e3, 3),
-               "", xutil::format_gflops(degraded.standard_gflops) +
-                       " (5NlogN)"});
+    xutil::Table t = phase_table(
+        "DEGRADED FFT ON " + cfg.name + ", " + dims_name(dims), degraded);
     t.add_note("faults: " + fault_summary(map));
     t.add_note("healthy: " + xutil::format_gflops(healthy.standard_gflops) +
                " GFLOPS -> retained " +
@@ -442,13 +374,9 @@ int cmd_faults(const xutil::Flags& flags) {
 
   // Scaled configuration: the cycle-level machine degrades in place.
   const xsim::MachineConfig c = scaled_config_from_flags(flags);
-  std::size_t nx = 64;
-  std::size_t ny = 64;
-  std::size_t nz = 1;
-  xutil::parse_dims(flags.get("size", "64x64"), &nx, &ny, &nz);
+  const xfft::Dims3 dims = size_flag(flags, "64x64");
   const auto radix = static_cast<unsigned>(flags.get_int("radix", 8));
   flags.reject_unused();
-  const xfft::Dims3 dims{nx, ny, nz};
 
   const auto map = xfault::materialize(plan, xsim::fault_shape(c));
   xsim::Machine machine(c);
@@ -456,7 +384,7 @@ int cmd_faults(const xutil::Flags& flags) {
   const auto r = xsim::run_fft_on_machine(machine, dims, radix);
 
   xutil::Table t("DEGRADED CYCLE-LEVEL RUN ON " + c.name + " (" +
-                 xutil::format_dims3(nx, ny, nz) + ")");
+                 dims_name(dims) + ")");
   t.set_header({"Phase", "cycles", "hit rate", "remapped", "truncated"});
   for (const auto& ph : r.phases) {
     t.add_row({ph.name, std::to_string(ph.result.cycles),
@@ -545,11 +473,7 @@ int cmd_serve(const xutil::Flags& flags) {
       static_cast<std::size_t>(flags.get_int("requests", 200));
   const double rps = flags.get_double("rps", 2000.0);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  std::size_t nx = 4096;
-  std::size_t ny = 1;
-  std::size_t nz = 1;
-  xutil::parse_dims(flags.get("size", "4096"), &nx, &ny, &nz);
-  const xfft::Dims3 dims{nx, ny, nz};
+  const xfft::Dims3 dims = size_flag(flags, "4096");
   const std::chrono::nanoseconds deadline{
       static_cast<std::int64_t>(flags.get_double("deadline-ms", 50.0) * 1e6)};
   const std::string fault_spec = flags.get("faults", "soft:flip:2e-4");
@@ -562,11 +486,8 @@ int cmd_serve(const xutil::Flags& flags) {
   XU_CHECK_MSG(requests >= 1 && rps > 0.0,
                "serve needs --requests >= 1 and --rps > 0");
 
-  std::vector<xfft::Cf> base(dims.total());
   xutil::Pcg32 rng(seed, 0xa11ce);
-  for (auto& v : base) {
-    v = xfft::Cf(rng.next_signed_unit(), rng.next_signed_unit());
-  }
+  const std::vector<xfft::Cf> base = random_signal(dims.total(), rng);
 
   install_signal_handlers();
   xserve::FftServer server(sopt);
@@ -608,7 +529,7 @@ int cmd_serve(const xutil::Flags& flags) {
 
   xutil::Table t("FFT SERVICE TRACE: " + std::to_string(requests) +
                  " requests @ " + xutil::format_fixed(rps, 0) + " rps, " +
-                 xutil::format_dims3(nx, ny, nz));
+                 dims_name(dims));
   t.set_header({"Outcome", "count"});
   t.add_row({"ok", std::to_string(s.ok)});
   t.add_row({"deadline-exceeded", std::to_string(s.deadline_exceeded)});
@@ -654,6 +575,70 @@ int cmd_serve(const xutil::Flags& flags) {
   return interrupted ? kExitInterrupted : kExitOk;
 }
 
+struct Command {
+  const char* name;
+  const char* synopsis;  ///< flags; continuation lines carry their indent
+  int (*handler)(const xutil::Flags&);
+};
+
+constexpr Command kCommands[] = {
+    {"configs", "", cmd_configs},
+    {"simulate",
+     "--config {4k,8k,64k,128k_x2,128k_x4} --size 512^3 [--radix 8]",
+     cmd_simulate},
+    {"roofline", "--config <name> --size <dims>", cmd_roofline},
+    {"machine",
+     "--clusters N [--mot L] [--bf L] --size <dims> [--cycle-limit N]\n"
+     "           [--checkpoint-dir D] [--checkpoint-every cycles]"
+     " [--checkpoint-keep N]\n"
+     "           [--resume]  (SIGINT/SIGTERM checkpoint, then exit 6)",
+     cmd_machine},
+    {"fft", "--size N [--inverse]", cmd_fft},
+    {"faults",
+     "--faults <spec> [--seed N] [--config <name> | --clusters N]"
+     " --size <dims>\n"
+     "           spec: tcu:kill:<sel>,cluster:kill:<sel>,dram:chan:<sel>,"
+     "noc:link:degrade:<f>x[:<sel>],soft:flip:<rate>",
+     cmd_faults},
+    {"check",
+     "[--seed N] [--trials N] [--corpus <dir>] [--replay <dir>]\n"
+     "           [--journal <file>]  (restart skips journaled trials)\n"
+     "           [--canary <scale>] [--properties] [--lower f] [--upper f]"
+     " [--floor cycles]",
+     cmd_check},
+    {"serve",
+     "[--requests N] [--rps R] [--capacity Q] [--size <dims>]\n"
+     "           [--deadline-ms D] [--faults <spec>] [--fault-fraction f]"
+     " [--seed N]",
+     cmd_serve},
+};
+
+int usage() {
+  std::string text = "usage: xmtfft_cli <";
+  for (const Command& c : kCommands) {
+    if (&c != kCommands) text += '|';
+    text += c.name;
+  }
+  text += "> [flags]\n";
+  for (const Command& c : kCommands) {
+    std::string line = std::string("  ") + c.name;
+    if (*c.synopsis != '\0') {
+      line.resize(10, ' ');
+      line += std::string(" ") + c.synopsis;
+    }
+    text += line + "\n";
+  }
+  text +=
+      "  any command also takes --threads N (host worker threads for FFT\n"
+      "  execution, fuzz trials, sweeps; default: $XMTFFT_THREADS, else all\n"
+      "  cores; results are identical at any thread count)\n"
+      "exit codes: 0 ok, 1 harness failure, 2 usage, 3 invalid input,\n"
+      "  4 deadline exceeded (watchdog), 5 fault budget exhausted,\n"
+      "  6 interrupted after writing a checkpoint (rerun with --resume)";
+  std::puts(text.c_str());
+  return kExitUsage;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -665,17 +650,9 @@ int main(int argc, char** argv) {
       xpar::ThreadPool::set_global_threads(
           static_cast<unsigned>(flags.get_int("threads", 0)));
     }
-    if (cmd == "configs") {
-      flags.reject_unused();
-      return cmd_configs();
+    for (const Command& c : kCommands) {
+      if (cmd == c.name) return c.handler(flags);
     }
-    if (cmd == "simulate") return cmd_simulate(flags);
-    if (cmd == "roofline") return cmd_roofline(flags);
-    if (cmd == "machine") return cmd_machine(flags);
-    if (cmd == "fft") return cmd_fft(flags);
-    if (cmd == "faults") return cmd_faults(flags);
-    if (cmd == "check") return cmd_check(flags);
-    if (cmd == "serve") return cmd_serve(flags);
     std::fprintf(stderr, "unknown command '%s'\n", cmd.c_str());
     return usage();
   } catch (const xsim::DeadlockError& e) {
