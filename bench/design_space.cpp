@@ -9,38 +9,20 @@
 //     the ICN binds (observation (c)).
 //  3. NoC level splits (denser-network hypotheticals).
 //
-// With --csv <path> every completed design point is durably appended to the
-// CSV as it finishes and a restarted run skips the points already on disk —
-// the rendered tables are byte-identical either way (see durable_sweep.hpp).
+// All design points are evaluated as one pool-parallel sweep (sweep.hpp).
 #include <cstdio>
-#include <memory>
 #include <vector>
 
-#include "durable_sweep.hpp"
-#include "xutil/flags.hpp"
+#include "sweep.hpp"
 #include "xutil/string_util.hpp"
 #include "xutil/table.hpp"
 #include "xutil/units.hpp"
 
-int main(int argc, char** argv) {
-  const xutil::Flags flags(argc - 1, argv + 1);
-  const std::string csv_path = flags.get("csv", "");
-  flags.reject_unused();
-  std::unique_ptr<xckpt::DurableCsv> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<xckpt::DurableCsv>(csv_path,
-                                              xbench::sweep_csv_header());
-    if (csv->recovered_rows() > 0) {
-      std::fprintf(stderr, "design_space: recovered %zu completed point(s)"
-                           " from %s\n",
-                   csv->recovered_rows(), csv_path.c_str());
-    }
-  }
-
+int main() {
   const xfft::Dims3 dims{512, 512, 512};
 
   // Assemble every design point of all three sweeps up front so the whole
-  // exploration fans out onto the pool (and journals) as one unit.
+  // exploration fans out onto the pool as one unit.
   const std::vector<unsigned> fpu_counts = {1, 2, 4, 8, 16};
   const std::vector<unsigned> per_ctrl = {8, 4, 2, 1};
   struct Split {
@@ -58,24 +40,22 @@ int main(int argc, char** argv) {
     auto cfg = xsim::preset_128k_x4();
     cfg.fpus_per_cluster = fpus;
     cfg.validate();
-    points.push_back({"fpus:" + std::to_string(fpus), cfg, dims});
+    points.push_back({cfg, dims});
   }
   for (const unsigned per : per_ctrl) {
     auto cfg = xsim::preset_128k_x2();
     cfg.mms_per_dram_ctrl = per;
     cfg.validate();
-    points.push_back({"dram:" + std::to_string(per), cfg, dims});
+    points.push_back({cfg, dims});
   }
   for (const auto& s : splits) {
     auto cfg = xsim::preset_128k_x4();
     cfg.mot_levels = s.mot;
     cfg.butterfly_levels = s.bf;
     cfg.validate();
-    points.push_back({"noc:" + std::to_string(s.mot) + "+" +
-                          std::to_string(s.bf),
-                      cfg, dims});
+    points.push_back({cfg, dims});
   }
-  const auto cells = xbench::evaluate_sweep(points, csv.get());
+  const auto cells = xbench::evaluate_sweep(points);
   std::size_t at = 0;
 
   xutil::Table f("DESIGN SPACE: FPUs PER CLUSTER (128k, DRAM ctrl per MM)");

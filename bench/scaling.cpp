@@ -6,34 +6,16 @@
 // Size scaling: each machine across problem sizes (where spawn overhead
 // and under-occupancy bite).
 //
-// With --csv <path> every completed cell is durably appended to the CSV as
-// it finishes and a restarted run skips the cells already on disk — the
-// rendered tables are byte-identical either way (see durable_sweep.hpp).
+// All cells are evaluated as one pool-parallel sweep (sweep.hpp).
 #include <cstdio>
-#include <memory>
 #include <vector>
 
-#include "durable_sweep.hpp"
-#include "xutil/flags.hpp"
+#include "sweep.hpp"
 #include "xutil/string_util.hpp"
 #include "xutil/table.hpp"
 #include "xutil/units.hpp"
 
-int main(int argc, char** argv) {
-  const xutil::Flags flags(argc - 1, argv + 1);
-  const std::string csv_path = flags.get("csv", "");
-  flags.reject_unused();
-  std::unique_ptr<xckpt::DurableCsv> csv;
-  if (!csv_path.empty()) {
-    csv = std::make_unique<xckpt::DurableCsv>(csv_path,
-                                              xbench::sweep_csv_header());
-    if (csv->recovered_rows() > 0) {
-      std::fprintf(stderr,
-                   "scaling: recovered %zu completed cell(s) from %s\n",
-                   csv->recovered_rows(), csv_path.c_str());
-    }
-  }
-
+int main() {
   const auto presets = xsim::paper_presets();
 
   // Keep ~2048 points per TCU: 4k -> 2^23 points (256^2x128), scale up.
@@ -52,18 +34,17 @@ int main(int argc, char** argv) {
   // serial run at any thread count.
   std::vector<xbench::SweepPoint> points;
   for (const auto& cfg : presets) {
-    points.push_back({"strong:" + cfg.name, cfg, {512, 512, 512}});
+    points.push_back({cfg, {512, 512, 512}});
   }
   for (std::size_t i = 0; i < presets.size(); ++i) {
-    points.push_back({"weak:" + presets[i].name, presets[i], weak_dims[i]});
+    points.push_back({presets[i], weak_dims[i]});
   }
   for (const std::size_t side : sides) {
     for (const auto& cfg : presets) {
-      points.push_back({"size:" + std::to_string(side) + ":" + cfg.name, cfg,
-                        {side, side, side}});
+      points.push_back({cfg, {side, side, side}});
     }
   }
-  const auto cells = xbench::evaluate_sweep(points, csv.get());
+  const auto cells = xbench::evaluate_sweep(points);
   std::size_t at = 0;
 
   // --- Strong scaling ---------------------------------------------------

@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
-#include <memory>
 
 #include "xcheck/corpus.hpp"
-#include "xckpt/journal.hpp"
 #include "xpar/pool.hpp"
 
 namespace xcheck {
@@ -18,58 +15,6 @@ std::string fmt2(double v) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%.2f", v);
   return buf;
-}
-
-/// %a round-trips doubles exactly (including inf/0), which the bracket
-/// statistics replayed from the journal need to keep the report identical.
-std::string fmt_hex(double v) {
-  char buf[48];
-  std::snprintf(buf, sizeof buf, "%a", v);
-  return buf;
-}
-
-/// The statistics a passing trial contributes to the campaign footer. What
-/// the journal stores per passing trial, so a resumed campaign aggregates
-/// the identical numbers without re-running the trial.
-struct TrialStats {
-  std::uint64_t phases = 0;
-  double min_vs_best = std::numeric_limits<double>::infinity();
-  double max_vs_worst = 0.0;
-};
-
-TrialStats stats_of(const TrialResult& result) {
-  TrialStats st;
-  for (const auto& p : result.phases) {
-    ++st.phases;
-    if (p.best_cycles > 0.0) {
-      st.min_vs_best =
-          std::min(st.min_vs_best, p.machine_cycles / p.best_cycles);
-    }
-    if (p.worst_cycles > 0.0) {
-      st.max_vs_worst =
-          std::max(st.max_vs_worst, p.machine_cycles / p.worst_cycles);
-    }
-  }
-  return st;
-}
-
-std::string encode_pass(const TrialStats& st) {
-  return "pass " + std::to_string(st.phases) + " " + fmt_hex(st.min_vs_best) +
-         " " + fmt_hex(st.max_vs_worst);
-}
-
-bool decode_pass(const std::string& value, TrialStats* st) {
-  if (value.rfind("pass ", 0) != 0) return false;
-  char* end = nullptr;
-  const char* p = value.c_str() + 5;
-  st->phases = std::strtoull(p, &end, 10);
-  if (end == p) return false;
-  p = end;
-  st->min_vs_best = std::strtod(p, &end);
-  if (end == p) return false;
-  p = end;
-  st->max_vs_worst = std::strtod(p, &end);
-  return end != p;
 }
 
 // Everything a trial produces before aggregation. Trials are embarrassingly
@@ -99,30 +44,6 @@ FuzzSummary run_fuzz(const FuzzOptions& options) {
   double max_vs_worst = 0.0;
   std::uint64_t phases_checked = 0;
 
-  // Restart journal: passing trials recorded by a previous (killed) run of
-  // the same campaign are replayed from their journaled statistics instead
-  // of re-executed. Failing trials re-run — their report text and corpus
-  // entries are cheap to regenerate deterministically and need the full
-  // TrialResult. A journal from a different campaign is ignored entirely.
-  std::unique_ptr<xckpt::WorkJournal> journal;
-  std::vector<TrialStats> replayed(options.trials);
-  std::vector<char> skip(options.trials, 0);
-  const std::string campaign = "seed=" + std::to_string(options.seed) +
-                               " trials=" + std::to_string(options.trials);
-  if (!options.journal_path.empty()) {
-    journal = std::make_unique<xckpt::WorkJournal>(options.journal_path);
-    const bool same_campaign = journal->value("campaign") == campaign;
-    if (!same_campaign) journal->record("campaign", campaign);
-    for (unsigned i = 0; same_campaign && i < options.trials; ++i) {
-      TrialStats st;
-      if (decode_pass(journal->value("trial-" + std::to_string(i)), &st)) {
-        replayed[i] = st;
-        skip[i] = 1;
-        ++s.trials_skipped;
-      }
-    }
-  }
-
   // Phase 1 (parallel): run every trial — and shrink its failure, if any —
   // into a slot indexed by trial number. Stream split makes each trial a
   // pure function of (seed, i): inserting a new draw in draw_trial never
@@ -133,7 +54,6 @@ FuzzSummary run_fuzz(const FuzzOptions& options) {
       [&](std::int64_t lo, std::int64_t hi) {
         for (std::int64_t t = lo; t < hi; ++t) {
           const auto i = static_cast<unsigned>(t);
-          if (skip[i] != 0) continue;
           TrialOutcome& out = outcomes[i];
           xutil::Pcg32 rng(options.seed, /*stream=*/i);
           out.tcase = draw_trial(rng, options.seed + i);
@@ -149,19 +69,21 @@ FuzzSummary run_fuzz(const FuzzOptions& options) {
   // Phase 2 (serial, trial order): aggregate statistics, emit report text
   // and corpus files. Min/max merges are order-independent and the text is
   // appended in trial order, so the summary is byte-identical to a serial
-  // campaign at any thread count — and to an unjournaled one.
+  // campaign at any thread count.
   for (unsigned i = 0; i < options.trials; ++i) {
     TrialOutcome& out = outcomes[i];
     ++s.trials_run;
-    const TrialStats st = skip[i] != 0 ? replayed[i] : stats_of(out.result);
-    phases_checked += st.phases;
-    min_vs_best = std::min(min_vs_best, st.min_vs_best);
-    max_vs_worst = std::max(max_vs_worst, st.max_vs_worst);
-    if (journal && skip[i] == 0) {
-      journal->record("trial-" + std::to_string(i),
-                      out.failed ? "fail" : encode_pass(st));
+    for (const auto& p : out.result.phases) {
+      ++phases_checked;
+      if (p.best_cycles > 0.0) {
+        min_vs_best = std::min(min_vs_best, p.machine_cycles / p.best_cycles);
+      }
+      if (p.worst_cycles > 0.0) {
+        max_vs_worst =
+            std::max(max_vs_worst, p.machine_cycles / p.worst_cycles);
+      }
     }
-    if (skip[i] != 0 || !out.failed) continue;
+    if (!out.failed) continue;
 
     ++s.trials_failed;
     FuzzFailure f;

@@ -26,12 +26,6 @@ struct FuzzOptions {
   DifferentialOptions diff;
   /// When nonempty, minimized failures are written here as *.repro files.
   std::string corpus_dir;
-  /// When nonempty, each trial's outcome is durably journaled here as it
-  /// completes: a restarted campaign skips re-running journaled passing
-  /// trials (their aggregate statistics are replayed from the journal) and
-  /// re-runs failing ones, producing the byte-identical report. A journal
-  /// recorded for a different (seed, trials) campaign is ignored.
-  std::string journal_path;
 };
 
 /// One fuzzing failure: the original drawn case and its shrunk form.
@@ -45,9 +39,6 @@ struct FuzzSummary {
   FuzzOptions options;
   unsigned trials_run = 0;
   unsigned trials_failed = 0;
-  /// Trials whose pass verdict was replayed from the journal instead of
-  /// re-executed (0 without journal_path).
-  unsigned trials_skipped = 0;
   std::vector<FuzzFailure> failures;
   /// Deterministic human-readable campaign report (per-failure mismatch
   /// reports plus a bracket-tightness footer).

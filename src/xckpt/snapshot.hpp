@@ -14,11 +14,12 @@
 //    A torn, truncated, or bit-flipped file is detected, never half-applied.
 //  - Writes are atomic and durable (write_file_atomic): bytes ->
 //    <path>.tmp.<pid>.<n>, fsync, rename over <path>, fsync the directory.
-//    A crash mid-write leaves the previous file intact. The corpus
-//    reproducers (xcheck) and DurableCsv rewrites use the same primitive.
+//    A crash mid-write leaves the previous file intact. This is the one
+//    durable-write primitive: the corpus reproducers (xcheck) and the soak
+//    stats file use it too.
 //
 // The generation ring that stacks fallback on top of this lives in
-// ring.hpp; restartable work journals live in journal.hpp.
+// ring.hpp.
 #pragma once
 
 #include <cstdint>

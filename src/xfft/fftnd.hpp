@@ -120,12 +120,6 @@ class PlanND {
   xutil::UninitializedBuffer<std::complex<T>> scratch_;
 };
 
-/// Convenience aliases matching the paper's 2-D / 3-D usage.
-template <typename T>
-using Plan2D = PlanND<T>;
-template <typename T>
-using Plan3D = PlanND<T>;
-
 extern template void rotate_axes<float>(std::span<const Cf>, std::span<Cf>,
                                         Dims3, const ExecOptions&);
 extern template void rotate_axes<double>(std::span<const Cd>, std::span<Cd>,

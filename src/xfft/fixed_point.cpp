@@ -16,6 +16,24 @@ std::int16_t saturate(std::int32_t v) {
   return static_cast<std::int16_t>(v);
 }
 
+/// q15_half's rounding applied to the exact 32-bit sum or difference of two
+/// Q15 values, so a butterfly scales before it saturates. Only the
+/// difference 32767 - (-32768) has a half (32767.5) that still clips.
+std::int16_t half_of(std::int32_t sum) {
+  return saturate((sum + (sum >= 0 ? 1 : -1)) / 2);
+}
+
+/// (a + b) / 2 and (a - b) / 2, each formed from the exact 32-bit sum.
+CQ15 half_sum(CQ15 a, CQ15 b) {
+  return {Q15{half_of(std::int32_t{a.re.raw} + b.re.raw)},
+          Q15{half_of(std::int32_t{a.im.raw} + b.im.raw)}};
+}
+
+CQ15 half_diff(CQ15 a, CQ15 b) {
+  return {Q15{half_of(std::int32_t{a.re.raw} - b.re.raw)},
+          Q15{half_of(std::int32_t{a.im.raw} - b.im.raw)}};
+}
+
 }  // namespace
 
 Q15 Q15::from_double(double v) {
@@ -43,14 +61,6 @@ Q15 q15_half(Q15 a) {
   return Q15{static_cast<std::int16_t>((a.raw + (a.raw >= 0 ? 1 : -1)) / 2)};
 }
 
-CQ15 cq15_add(CQ15 a, CQ15 b) {
-  return {q15_add(a.re, b.re), q15_add(a.im, b.im)};
-}
-
-CQ15 cq15_sub(CQ15 a, CQ15 b) {
-  return {q15_sub(a.re, b.re), q15_sub(a.im, b.im)};
-}
-
 CQ15 cq15_mul(CQ15 a, CQ15 b) {
   // (ar + i ai)(br + i bi); intermediate 32-bit products, rounded once per
   // component to minimize noise.
@@ -61,8 +71,6 @@ CQ15 cq15_mul(CQ15 a, CQ15 b) {
   return {Q15{saturate((rr + (1 << 14)) >> 15)},
           Q15{saturate((ii + (1 << 14)) >> 15)}};
 }
-
-CQ15 cq15_half(CQ15 a) { return {q15_half(a.re), q15_half(a.im)}; }
 
 std::vector<CQ15> to_q15(std::span<const Cf> x) {
   std::vector<CQ15> out(x.size());
@@ -105,9 +113,8 @@ void fft_q15(std::span<CQ15> data, Direction dir) {
       for (std::size_t j = 0; j < sub; ++j) {
         const CQ15 a = data[base + j];
         const CQ15 b = data[base + j + sub];
-        data[base + j] = cq15_half(cq15_add(a, b));
-        data[base + j + sub] =
-            cq15_mul(cq15_half(cq15_sub(a, b)), tw[j * tw_stride]);
+        data[base + j] = half_sum(a, b);
+        data[base + j + sub] = cq15_mul(half_diff(a, b), tw[j * tw_stride]);
       }
     }
     block = sub;

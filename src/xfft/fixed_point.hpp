@@ -42,11 +42,8 @@ struct CQ15 {
   friend bool operator==(CQ15, CQ15) = default;
 };
 
-[[nodiscard]] CQ15 cq15_add(CQ15 a, CQ15 b);
-[[nodiscard]] CQ15 cq15_sub(CQ15 a, CQ15 b);
 /// Full complex multiply, rounded per component.
 [[nodiscard]] CQ15 cq15_mul(CQ15 a, CQ15 b);
-[[nodiscard]] CQ15 cq15_half(CQ15 a);
 
 /// Converts float samples (|x| <= 1) to Q15 and back.
 [[nodiscard]] std::vector<CQ15> to_q15(std::span<const Cf> x);

@@ -102,8 +102,4 @@ void fft_cached(std::span<Cf> data, Direction dir) {
   PlanCache::global().plan_1d(data.size(), dir)->execute(data);
 }
 
-void fft_cached_nd(std::span<Cf> data, Dims3 dims, Direction dir) {
-  PlanCache::global().plan_nd(dims, dir)->execute(data);
-}
-
 }  // namespace xfft

@@ -110,8 +110,7 @@ class PlanCache {
   std::uint64_t evictions_ = 0;
 };
 
-/// Convenience one-call transforms through the global cache.
+/// Convenience one-call transform through the global cache.
 void fft_cached(std::span<Cf> data, Direction dir);
-void fft_cached_nd(std::span<Cf> data, Dims3 dims, Direction dir);
 
 }  // namespace xfft

@@ -1,6 +1,6 @@
 // Unit tests for the xckpt storage layer: payload Writer/Reader bounds and
 // bit-exactness, snapshot-file validation (magic/version/tag/CRC/length),
-// the generation ring's corruption fallback, and the restartable journals.
+// the generation ring's corruption fallback, and atomic-write races.
 #include <cmath>
 #include <cstdint>
 #include <filesystem>
@@ -12,7 +12,6 @@
 
 #include <gtest/gtest.h>
 
-#include "xckpt/journal.hpp"
 #include "xckpt/ring.hpp"
 #include "xckpt/snapshot.hpp"
 
@@ -212,53 +211,6 @@ TEST_F(CkptDir, RingFallsBackPastCorruptGenerations) {
   auto again = ring.load_latest();
   ASSERT_TRUE(again.has_value());
   EXPECT_EQ(again->generation, 5u);
-}
-
-TEST_F(CkptDir, WorkJournalSurvivesTornTail) {
-  const std::string jp = path("work.journal");
-  {
-    xckpt::WorkJournal j(jp);
-    j.record("item-0", "pass 3");
-    j.record("item-1", "fail");
-    j.record("item-0", "pass 4");  // re-record keeps newest
-  }
-  // Simulate a crash mid-append: garbage half-line at the tail.
-  {
-    std::ofstream f(jp, std::ios::app | std::ios::binary);
-    f << "item-2\tpass 7\t";  // no CRC, no newline
-  }
-  xckpt::WorkJournal j(jp);
-  EXPECT_TRUE(j.has("item-0"));
-  EXPECT_EQ(j.value("item-0"), "pass 4");
-  EXPECT_EQ(j.value("item-1"), "fail");
-  EXPECT_FALSE(j.has("item-2"));
-  EXPECT_EQ(j.entries(), 2u);
-  EXPECT_GE(j.dropped_lines(), 1u);
-}
-
-TEST_F(CkptDir, DurableCsvAppendsAndRecovers) {
-  const std::string cp = path("sweep.csv");
-  const std::vector<std::string> header{"key", "gflops"};
-  {
-    xckpt::DurableCsv csv(cp, header);
-    EXPECT_FALSE(csv.restarted());
-    csv.append({"fpus:1", "11839.25"});
-    csv.append({"fpus:2", "15733.65"});
-  }
-  {
-    xckpt::DurableCsv csv(cp, header);
-    EXPECT_EQ(csv.recovered_rows(), 2u);
-    EXPECT_TRUE(csv.has("fpus:1"));
-    EXPECT_EQ(csv.row("fpus:2"),
-              (std::vector<std::string>{"fpus:2", "15733.65"}));
-    csv.append({"fpus:4", "20000.00"});
-  }
-  // A schema change restarts the file instead of mixing headers.
-  {
-    xckpt::DurableCsv csv(cp, {"key", "gflops", "seconds"});
-    EXPECT_TRUE(csv.restarted());
-    EXPECT_EQ(csv.recovered_rows(), 0u);
-  }
 }
 
 TEST_F(CkptDir, AtomicWriteRacersLeaveOneWholeFileAndNoTemps) {

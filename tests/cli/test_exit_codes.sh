@@ -55,6 +55,9 @@ expect 5 "$CLI" faults --clusters 4 --size 64x16 \
 expect 3 "$CLI" machine --clusters 4 --size 64x64 --checkpoint-every 1000
 expect 3 "$CLI" machine --clusters 4 --size 64x64 --resume
 
+# a removed flag is invalid input, not silently ignored
+expect 3 "$CLI" check --journal j
+
 # interrupted-after-checkpoint: SIGINT a checkpointed run once its first
 # snapshot generation exists -> exit 6, and a --resume finishes with the
 # byte-identical stdout of an uninterrupted run (exit 0).

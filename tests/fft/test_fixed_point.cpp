@@ -6,6 +6,7 @@
 #include "xfft/dft_reference.hpp"
 #include "xfft/fixed_point.hpp"
 #include "xutil/check.hpp"
+#include "xutil/rng.hpp"
 
 namespace {
 
@@ -51,6 +52,22 @@ TEST(Q15, ComplexMultiplyMatchesFloat) {
   EXPECT_NEAR(got.im.to_double(), -0.22, 1e-3);
 }
 
+/// SQNR of fft_q15 on `input` against the double-precision oracle X[k]/n.
+double q15_sqnr_db(const std::vector<xfft::Cf>& input) {
+  const std::size_t n = input.size();
+  auto q = xfft::to_q15(input);
+  xfft::fft_q15(std::span<CQ15>(q), Direction::kForward);
+  std::vector<xfft::Cd> want(n);
+  std::vector<xfft::Cd> in_d(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    in_d[i] = xfft::Cd{input[i].real(), input[i].imag()};
+  }
+  xfft::dft_reference(std::span<const xfft::Cd>(in_d), std::span<xfft::Cd>(want),
+                      Direction::kForward);
+  for (auto& w : want) w /= static_cast<double>(n);
+  return xfft::sqnr_db(q, 1.0, want);
+}
+
 class FixedFftSizes : public ::testing::TestWithParam<std::size_t> {};
 
 TEST_P(FixedFftSizes, MatchesOracleWithHighSqnr) {
@@ -60,20 +77,7 @@ TEST_P(FixedFftSizes, MatchesOracleWithHighSqnr) {
   std::vector<xfft::Cf> scaled(n);
   for (std::size_t i = 0; i < n; ++i) scaled[i] = input[i] * 0.5F;
 
-  auto q = xfft::to_q15(scaled);
-  xfft::fft_q15(std::span<CQ15>(q), Direction::kForward);
-
-  // Oracle: X[k]/n in double precision.
-  std::vector<xfft::Cd> want(n);
-  std::vector<xfft::Cd> in_d(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    in_d[i] = xfft::Cd{scaled[i].real(), scaled[i].imag()};
-  }
-  xfft::dft_reference(std::span<const xfft::Cd>(in_d), std::span<xfft::Cd>(want),
-                      Direction::kForward);
-  for (auto& w : want) w /= static_cast<double>(n);
-
-  const double sqnr = xfft::sqnr_db(q, 1.0, want);
+  const double sqnr = q15_sqnr_db(scaled);
   // Q15 with per-stage scaling loses ~0.5 bit per stage; 45 dB is a safe
   // floor for these sizes and would be wildly violated by any algorithmic
   // error (which produces SQNR near 0 dB).
@@ -82,6 +86,19 @@ TEST_P(FixedFftSizes, MatchesOracleWithHighSqnr) {
 
 INSTANTIATE_TEST_SUITE_P(Sizes, FixedFftSizes,
                          ::testing::Values(4, 8, 16, 64, 256, 1024));
+
+TEST(FixedFft, ButterflyHalvesBeforeItSaturates) {
+  // micro_fixed_point's n = 256 signal: one stage-1 sum (-35485) leaves the
+  // Q15 range. Halving the exact 32-bit sum keeps it; saturating first
+  // clipped it and cost ~20 dB of SQNR.
+  const std::size_t n = 256;
+  xutil::Pcg32 rng(3328);
+  std::vector<xfft::Cf> input(n);
+  for (auto& x : input) {
+    x = xfft::Cf(rng.next_signed_unit() * 0.5F, rng.next_signed_unit() * 0.5F);
+  }
+  EXPECT_GE(q15_sqnr_db(input), 50.0);
+}
 
 TEST(FixedFft, ImpulseGivesFlatSpectrum) {
   const std::size_t n = 64;
